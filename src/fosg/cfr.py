@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import MissingPolicy, NotZeroSum
+from .errors import ImperfectRecall, MissingPolicy, NotZeroSum
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
 
 PolicyProfile = Dict[int, Dict[Hashable, Dict[str, float]]]
@@ -38,7 +38,7 @@ class SolverTree:
     """Flattened tree with per-edge reward vectors shared by all solvers."""
 
     __slots__ = ("num_players", "kind", "owner", "iset_index", "kids", "isets",
-                 "iset_lookup", "depths", "zero_sum_gap", "game")
+                 "iset_lookup", "zero_sum_gap", "game", "_response_orders")
 
     def __init__(self, game: Game):
         self.game = game
@@ -50,7 +50,6 @@ class SolverTree:
         self.owner = [0] * count
         self.iset_index = [-1] * count
         self.kids: List[Optional[tuple]] = [None] * count
-        self.depths = [node.depth for node in nodes]
         self.isets: List[_Iset] = []
         self.iset_lookup: Dict[Tuple[int, Hashable], int] = {}
 
@@ -98,6 +97,7 @@ class SolverTree:
                     (node.children[label], edge_reward(nodes[node.children[label]]))
                     for label in node.actions)
         self.zero_sum_gap = gap
+        self._response_orders: Dict[int, List[int]] = {}
 
     def uniform_policies(self) -> List[List[float]]:
         return [[1.0 / len(s.actions)] * len(s.actions) for s in self.isets]
@@ -116,6 +116,55 @@ class SolverTree:
         for s, dist in zip(self.isets, policies):
             profile[s.owner][s.key] = {a: dist[k] for k, a in enumerate(s.actions)}
         return profile
+
+    def response_order(self, player: int) -> List[int]:
+        """Evaluation order of a best-response pass for ``player``, computed once.
+
+        Entries are node ids, or ``~index`` for one of the player's infosets,
+        which stands for all its members at once. Every entry comes after the
+        children of its nodes, so the player's infosets come in reverse
+        topological order of infoset precedence, whatever their depths. That
+        order exists when the player has perfect recall: all members of each
+        of the player's infosets follow the same latest own infoset and
+        action. Otherwise raises ``ImperfectRecall``.
+        """
+        order = self._response_orders.get(player)
+        if order is not None:
+            return order
+        count = len(self.kind)
+        parent: List[Optional[int]] = [None] * count
+        last_own: List[Optional[Tuple[int, int]]] = [None] * count
+        unit = list(range(count))
+        pending: Dict[int, int] = {}  # per entry: child edges whose entries are not placed yet
+        for nid, kids in enumerate(self.kids):  # parents precede children in id order
+            if kids is None:
+                continue
+            own = self.kind[nid] == KIND_DECISION and self.owner[nid] == player
+            if own:
+                unit[nid] = ~self.iset_index[nid]
+            pending[unit[nid]] = pending.get(unit[nid], 0) + len(kids)
+            for k, kid in enumerate(kids):  # (child, reward), led by the probability on chance edges
+                child = kid[-2]
+                parent[child] = nid
+                last_own[child] = (self.iset_index[nid], k) if own else last_own[nid]
+        for s in self.isets:
+            if s.owner == player and len({last_own[m] for m in s.members}) > 1:
+                raise ImperfectRecall(
+                    f"player {player} has no perfect recall at infostate {s.key!r}")
+        ready = [nid for nid in range(count) if self.kids[nid] is None]
+        order = []
+        while ready:
+            u = ready.pop()
+            order.append(u)
+            for m in (self.isets[~u].members if u < 0 else (u,)):
+                up = parent[m]
+                if up is None:
+                    continue
+                pending[unit[up]] -= 1
+                if pending[unit[up]] == 0:
+                    ready.append(unit[up])
+        self._response_orders[player] = order
+        return order
 
 
 def regret_matching(regrets: Sequence[float]) -> List[float]:
@@ -154,15 +203,15 @@ class ReachTable:
 
 def reach_probabilities(rep: ExtensiveFormRep, profile: PolicyProfile,
                         seeds: Optional[Dict[int, Tuple[float, Tuple[float, ...]]]] = None,
-                        ) -> ReachTable:
+                        *, tree: Optional[SolverTree] = None) -> ReachTable:
     """Single top-down pass filling chance, per-player, and counterfactual reaches.
 
     ``seeds`` optionally replaces the root initialization: a map from node id
     to (chance reach, per-player reach vector) for the roots of a forest.
+    ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
     """
-    tree = SolverTree(rep)
+    tree = tree or SolverTree(rep)
     policies = tree.policies_from_profile(profile)
-    n = rep.num_players
     players = rep.players
     count = len(rep.nodes)
     chance = [0.0] * count
@@ -224,48 +273,56 @@ class ValueTable:
     infoset_cf_q: Dict[int, Dict[Hashable, Dict[str, float]]]
 
 
+def _node_values(tree: SolverTree, policies: Sequence[Sequence[float]],
+                 ) -> List[Tuple[float, ...]]:
+    """Bottom-up future-reward vector of every node under fixed policies."""
+    n = tree.num_players
+    zeros = (0.0,) * n
+    values: List[Tuple[float, ...]] = [zeros] * len(tree.kind)
+    for nid in range(len(tree.kind) - 1, -1, -1):  # parents precede children in id order
+        kind = tree.kind[nid]
+        if kind == KIND_TERMINAL:
+            continue
+        acc = [0.0] * n
+        if kind == KIND_CHANCE:
+            for prob, child, rew in tree.kids[nid]:
+                sub = values[child]
+                for i in range(n):
+                    acc[i] += prob * (rew[i] + sub[i])
+        else:
+            sigma = policies[tree.iset_index[nid]]
+            for k, (child, rew) in enumerate(tree.kids[nid]):
+                sub = values[child]
+                for i in range(n):
+                    acc[i] += sigma[k] * (rew[i] + sub[i])
+        values[nid] = tuple(acc)
+    return values
+
+
 def expected_values(rep: Game, profile: PolicyProfile,
-                    reach: Optional[ReachTable] = None) -> ValueTable:
+                    reach: Optional[ReachTable] = None,
+                    *, tree: Optional[SolverTree] = None) -> ValueTable:
     """Bottom-up value pass; infostate aggregates use counterfactual weights.
 
     At an infostate with zero counterfactual mass the conditional value falls
     back to 0 by convention. Infostate aggregates are filled when reach
     probabilities are available, i.e. for tree-form input or an explicit
-    ``reach``; classical trees without one get node values only.
+    ``reach``; classical trees without one get node values only. ``tree`` is
+    a prebuilt ``SolverTree`` of ``rep``.
     """
-    tree = SolverTree(rep)
-    policies = tree.policies_from_profile(profile)
-    n = rep.num_players
+    tree = tree or SolverTree(rep)
+    values = _node_values(tree, tree.policies_from_profile(profile))
+    n = tree.num_players
     players = tuple(range(1, n + 1))
-    count = len(rep.nodes)
-    values: List[Optional[Tuple[float, ...]]] = [None] * count
     node_q: Dict[int, Dict[str, Tuple[float, ...]]] = {}
-    for nid in range(count - 1, -1, -1):  # parents precede children in id order
-        kind = tree.kind[nid]
-        if kind == KIND_TERMINAL:
-            values[nid] = tuple(0.0 for _ in players)
-        elif kind == KIND_CHANCE:
-            acc = [0.0] * n
-            for prob, child, rew in tree.kids[nid]:
-                sub = values[child]
-                for i in range(n):
-                    acc[i] += prob * (rew[i] + sub[i])
-            values[nid] = tuple(acc)
-        else:
-            sigma = policies[tree.iset_index[nid]]
-            acc = [0.0] * n
-            qs = {}
-            for k, (child, rew) in enumerate(tree.kids[nid]):
-                sub = values[child]
-                q = tuple(rew[i] + sub[i] for i in range(n))
-                qs[tree.isets[tree.iset_index[nid]].actions[k]] = q
-                for i in range(n):
-                    acc[i] += sigma[k] * q[i]
-            values[nid] = tuple(acc)
-            node_q[nid] = qs
+    for nid, kids in enumerate(tree.kids):
+        if tree.kind[nid] == KIND_DECISION:
+            actions = tree.isets[tree.iset_index[nid]].actions
+            node_q[nid] = {actions[k]: tuple(rew[i] + values[child][i] for i in range(n))
+                           for k, (child, rew) in enumerate(kids)}
 
     if reach is None and isinstance(rep, ExtensiveFormRep):
-        reach = reach_probabilities(rep, profile)
+        reach = reach_probabilities(rep, profile, tree=tree)
     infoset_value = {p: {} for p in players}
     infoset_q = {p: {} for p in players}
     infoset_cf_value = {p: {} for p in players}
@@ -295,9 +352,11 @@ def expected_values(rep: Game, profile: PolicyProfile,
                       infoset_cf_q=infoset_cf_q)
 
 
-def game_value(game: Game, profile: PolicyProfile) -> Tuple[float, ...]:
+def game_value(game: Game, profile: PolicyProfile,
+               *, tree: Optional[SolverTree] = None) -> Tuple[float, ...]:
     """Expected utility vector of a profile (root future value)."""
-    return expected_values(game, profile).node_value[0]
+    tree = tree or SolverTree(game)
+    return _node_values(tree, tree.policies_from_profile(profile))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +495,8 @@ class CfrState:
 
 
 def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
-            trace_stride: int = 0, record_policies: bool = False) -> CfrResult:
+            trace_stride: int = 0, record_policies: bool = False,
+            *, tree: Optional[SolverTree] = None) -> CfrResult:
     """Run regret matching self-play for ``iterations`` rounds.
 
     ``mode`` selects simultaneous updates of all players per round or one
@@ -444,12 +504,14 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
     owner's own reach. With ``trace_stride`` > 0 the exploitability of the
     running average profile is sampled every that many rounds. Each run owns
     its tables; independent runs over one shared game may execute concurrently.
+    ``tree`` is a prebuilt ``SolverTree`` of ``game``; the trace evaluations
+    reuse it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if mode not in ("simultaneous", "alternating"):
         raise ValueError(f"unknown mode {mode!r}")
-    tree = SolverTree(game)
+    tree = tree or SolverTree(game)
     state = CfrState(tree)
     trace: List[TracePoint] = []
     policies_log: List[PolicyProfile] = []
@@ -470,8 +532,8 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
             avg = tree.profile_from_policies(state.average_policies())
             trace.append(TracePoint(
                 iteration=t + 1,
-                exploitability=exploitability(game, avg),
-                value_p1=game_value(game, avg)[0],
+                exploitability=exploitability(game, avg, tree=tree),
+                value_p1=game_value(game, avg, tree=tree)[0],
                 wall_ms=(time.perf_counter() - start) * 1000.0))
     average = tree.profile_from_policies(state.average_policies())
     return CfrResult(regret_table=state.regret_table(), average_profile=average,
@@ -482,16 +544,88 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
 # Best response and exploitability
 
 
+def response_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
+                    player: int, seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
+                    ) -> Tuple[List[float], Dict[int, int]]:
+    """Best-response pass of one player below a seeded forest of entry nodes.
+
+    ``seeds`` maps each entry node to its (chance reach, per-player reach
+    vector); the whole game is the forest ``{0: (1.0, (1.0, ...))}``. Chance
+    and opponents follow ``policies`` (the responder's entries are not read),
+    and the responder picks, per infoset, the action with the largest
+    counterfactual value. Returns the responder's future value at every node
+    of the forest and the chosen action index per infoset reached.
+    """
+    idx = player - 1
+    kind, owner, kids, iset_index = tree.kind, tree.owner, tree.kids, tree.iset_index
+    cf: List[Optional[float]] = [None] * len(kind)
+    for h, (pc, pp) in seeds.items():
+        weight = pc
+        for j, reach in enumerate(pp):
+            if j != idx:
+                weight *= reach
+        cf[h] = weight
+    stack = list(seeds)
+    while stack:
+        nid = stack.pop()
+        node_kind = kind[nid]
+        if node_kind == KIND_TERMINAL:
+            continue
+        weight = cf[nid]
+        if node_kind == KIND_CHANCE:
+            for prob, child, _rew in kids[nid]:
+                cf[child] = weight * prob
+                stack.append(child)
+        else:
+            sigma = policies[iset_index[nid]]
+            for k, (child, _rew) in enumerate(kids[nid]):
+                cf[child] = weight * (1.0 if owner[nid] == player else sigma[k])
+                stack.append(child)
+
+    value = [0.0] * len(kind)
+    choice: Dict[int, int] = {}
+    for u in tree.response_order(player):
+        if u < 0:
+            s = tree.isets[~u]
+            reached = [m for m in s.members if cf[m] is not None]
+            if not reached:
+                continue
+            best_k, best_q = 0, None
+            for k in range(len(s.actions)):
+                q = 0.0
+                for m in reached:
+                    child, rew = kids[m][k]
+                    q += cf[m] * (rew[idx] + value[child])
+                if best_q is None or q > best_q + 1e-15:
+                    best_k, best_q = k, q
+            choice[s.index] = best_k
+            for m in reached:
+                child, rew = kids[m][best_k]
+                value[m] = rew[idx] + value[child]
+        elif cf[u] is not None and kind[u] != KIND_TERMINAL:
+            acc = 0.0
+            if kind[u] == KIND_CHANCE:
+                for prob, child, rew in kids[u]:
+                    acc += prob * (rew[idx] + value[child])
+            else:
+                sigma = policies[iset_index[u]]
+                for k, (child, rew) in enumerate(kids[u]):
+                    acc += sigma[k] * (rew[idx] + value[child])
+            value[u] = acc
+    return value, choice
+
+
 def best_response(game: Game, profile: PolicyProfile, player: int,
-                  ) -> Tuple[Dict[Hashable, str], float]:
-    """Backward-induction best response of one player against a fixed profile.
+                  *, tree: Optional[SolverTree] = None) -> Tuple[Dict[Hashable, str], float]:
+    """Best response of one player against a fixed profile.
 
     Opponent infostates must all be covered by ``profile``; the responder's
     entries are ignored. Returns the pure policy as an action per infostate
-    and its expected utility against the profile.
+    and its expected utility against the profile. The responder must have
+    perfect recall; infosets may span depths. ``tree`` is a prebuilt
+    ``SolverTree`` of ``game``.
     """
-    tree = SolverTree(game)
-    n = tree.num_players
+    tree = tree or SolverTree(game)
     policies: List[Optional[List[float]]] = [None] * len(tree.isets)
     for s in tree.isets:
         if s.owner == player:
@@ -500,86 +634,21 @@ def best_response(game: Game, profile: PolicyProfile, player: int,
         if per is None:
             raise MissingPolicy(f"no policy for player {s.owner} at infostate {s.key!r}")
         policies[s.index] = [float(per.get(a, 0.0)) for a in s.actions]
-
-    count = len(tree.kind)
-    cf_reach = [0.0] * count
-    cf_reach[0] = 1.0
-    stack = [0]
-    while stack:
-        nid = stack.pop()
-        kind = tree.kind[nid]
-        if kind == KIND_TERMINAL:
-            continue
-        if kind == KIND_CHANCE:
-            for prob, child, _rew in tree.kids[nid]:
-                cf_reach[child] = cf_reach[nid] * prob
-                stack.append(child)
-        else:
-            owner = tree.owner[nid]
-            sigma = policies[tree.iset_index[nid]]
-            for k, (child, _rew) in enumerate(tree.kids[nid]):
-                scale = 1.0 if owner == player else sigma[k]
-                cf_reach[child] = cf_reach[nid] * scale
-                stack.append(child)
-
-    by_depth: Dict[int, List[int]] = {}
-    for nid in range(count):
-        by_depth.setdefault(tree.depths[nid], []).append(nid)
-    own_isets_at: Dict[int, List[_Iset]] = {}
-    for s in tree.isets:
-        if s.owner == player:
-            depths = {tree.depths[m] for m in s.members}
-            if len(depths) > 1:
-                raise ValueError("best response requires depth-homogeneous infosets")
-            own_isets_at.setdefault(depths.pop(), []).append(s)
-
-    idx = player - 1
-    value: List[float] = [0.0] * count
-    choice: Dict[Hashable, str] = {}
-    choice_index: Dict[int, int] = {}
-    for depth in sorted(by_depth, reverse=True):
-        for s in own_isets_at.get(depth, ()):
-            best_k, best_q = 0, None
-            for k in range(len(s.actions)):
-                q = 0.0
-                for m in s.members:
-                    child, rew = tree.kids[m][k]
-                    q += cf_reach[m] * (rew[idx] + value[child])
-                if best_q is None or q > best_q + 1e-15:
-                    best_k, best_q = k, q
-            choice[s.key] = s.actions[best_k]
-            choice_index[s.index] = best_k
-        for nid in by_depth[depth]:
-            kind = tree.kind[nid]
-            if kind == KIND_TERMINAL:
-                value[nid] = 0.0
-            elif kind == KIND_CHANCE:
-                acc = 0.0
-                for prob, child, rew in tree.kids[nid]:
-                    acc += prob * (rew[idx] + value[child])
-                value[nid] = acc
-            elif tree.owner[nid] == player:
-                k = choice_index[tree.iset_index[nid]]
-                child, rew = tree.kids[nid][k]
-                value[nid] = rew[idx] + value[child]
-            else:
-                sigma = policies[tree.iset_index[nid]]
-                acc = 0.0
-                for k, (child, rew) in enumerate(tree.kids[nid]):
-                    acc += sigma[k] * (rew[idx] + value[child])
-                value[nid] = acc
-    return choice, value[0]
+    root = {0: (1.0, (1.0,) * tree.num_players)}
+    value, choice = response_values(tree, policies, player, root)
+    return {tree.isets[i].key: tree.isets[i].actions[k] for i, k in choice.items()}, value[0]
 
 
-def exploitability(game: Game, profile: PolicyProfile) -> float:
+def exploitability(game: Game, profile: PolicyProfile,
+                   *, tree: Optional[SolverTree] = None) -> float:
     """Average best-response gain against the profile in a two-player zero-sum game."""
-    tree = SolverTree(game)
+    tree = tree or SolverTree(game)
     if tree.num_players != 2:
         raise NotZeroSum("exploitability requires a two-player game")
     if tree.zero_sum_gap > 1e-9:
         raise NotZeroSum(f"terminal utilities sum to {tree.zero_sum_gap} > 1e-9")
-    _, v1 = best_response(game, profile, 1)
-    _, v2 = best_response(game, profile, 2)
+    _, v1 = best_response(game, profile, 1, tree=tree)
+    _, v2 = best_response(game, profile, 2, tree=tree)
     return (v1 + v2) / 2.0
 
 

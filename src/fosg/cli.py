@@ -17,7 +17,7 @@ import time
 from typing import Optional, Tuple
 
 from . import games
-from .cfr import cfr_run, exploitability, game_value
+from .cfr import SolverTree, cfr_run, exploitability, game_value
 from .decomposition import Trunk, cfr_d
 from .dot import export_view, render_key
 from .errors import FosgError, NotZeroSum
@@ -125,8 +125,10 @@ def cmd_solve(args) -> int:
 
     started = time.perf_counter()
     try:
+        tree = SolverTree(rep)
         if args.method == "cfr":
-            result = cfr_run(rep, args.iters, mode=args.mode, trace_stride=args.stride)
+            result = cfr_run(rep, args.iters, mode=args.mode, trace_stride=args.stride,
+                             tree=tree)
             profile = result.average_profile
             trace = result.trace
         elif args.method == "cfrd":
@@ -137,7 +139,7 @@ def cmd_solve(args) -> int:
             else:
                 trunk = Trunk.from_depth(rep, args.trunk_depth)
             outcome = cfr_d(rep, trunk, args.iters, args.subgame_iters,
-                            trace_stride=args.stride, parallel_leaves=args.parallel_leaves)
+                            trace_stride=args.stride, tree=tree)
             profile = outcome.completed_profile
             trace = outcome.trace
         else:
@@ -148,8 +150,8 @@ def cmd_solve(args) -> int:
             if args.lp_dump:
                 with open(args.lp_dump, "w", encoding="utf-8") as handle:
                     handle.write(lp_dump(lp))
-        gap = exploitability(rep, profile)
-        value = game_value(rep, profile)[0]
+        gap = exploitability(rep, profile, tree=tree)
+        value = game_value(rep, profile, tree=tree)[0]
     except NotZeroSum as exc:
         print(exc, file=sys.stderr)
         return 3
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace")
     p_solve.add_argument("--out")
     p_solve.add_argument("--lp-dump")
-    p_solve.add_argument("--parallel-leaves", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
     p_timing = sub.add_parser("timing", parents=[common], help="check timeability or pad to unit steps")

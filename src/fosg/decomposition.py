@@ -10,12 +10,12 @@ the regret updates only below it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .cfr import CfrState, PolicyProfile, SolverTree, TracePoint, exploitability, game_value
+from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, exploitability, game_value,
+                  response_values)
 from .errors import InconsistentPBS, UnknownPublicState
 from .model import NOOP, TICK, FactoredObservation, GameSpec, JointKey
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, unroll
@@ -461,178 +461,64 @@ def _trunk_reaches(tree: SolverTree, policies: List[List[float]],
     return out
 
 
-def _policy_values(tree: SolverTree, policies: List[List[float]], nid: int) -> List[float]:
-    """Expected future reward vector at a node under fixed policies."""
-    n = tree.num_players
-    kind = tree.kind[nid]
-    if kind == 0:
-        return [0.0] * n
-    vals = [0.0] * n
-    if kind == 1:
-        for prob, child, rew in tree.kids[nid]:
-            if prob == 0.0:
-                continue
-            sub = _policy_values(tree, policies, child)
-            for i in range(n):
-                vals[i] += prob * (rew[i] + sub[i])
-        return vals
-    sigma = policies[tree.iset_index[nid]]
-    for k, (child, rew) in enumerate(tree.kids[nid]):
-        prob = sigma[k]
-        sub = _policy_values(tree, policies, child)
-        for i in range(n):
-            vals[i] += prob * (rew[i] + sub[i])
-    return vals
-
-
 @dataclass
 class _LeafSolve:
     solved: Dict[int, List[float]]          # average policy per subgame infoset index
     strategy_sum: Dict[int, List[float]]    # raw reach-weighted sums of the solve
-    boundary: Dict[int, List[float]]        # per-entry value vector for the trunk update
 
 
 def _solve_leaf(tree: SolverTree, entries: Sequence[int],
                 seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
                 iset_indices: Sequence[int], budget: int) -> _LeafSolve:
-    """Solve one leaf subgame in place with range-substituted reaches.
-
-    The boundary values give each player their counterfactual best response
-    against the solved strategy; this keeps the trunk update honest about
-    actions the current range excludes. With an exact subgame equilibrium they
-    coincide with the equilibrium values.
-    """
+    """Solve one leaf subgame in place with range-substituted reaches."""
     state = CfrState(tree)
-    no_reach = (0.0, tuple(0.0 for _ in range(tree.num_players)))
-    seeded = [(h,) + seeds.get(h, no_reach) for h in entries]
     for _ in range(budget):
         state.refresh_policies(indices=iset_indices)
-        for h, pc, pp in seeded:
+        for h in entries:
+            pc, pp = seeds[h]
             state.walk(h, pc, list(pp))
     averages = state.average_policies()
-    solved = {idx: averages[idx] for idx in iset_indices}
-    policies = list(state.policies)
-    for idx in iset_indices:
-        policies[idx] = solved[idx]
-    boundary = {h: [0.0] * tree.num_players for h in entries}
-    for player in range(1, tree.num_players + 1):
-        values = _subgame_best_response(tree, entries, seeds, iset_indices, policies, player)
-        for h in entries:
-            boundary[h][player - 1] = values[h]
-    return _LeafSolve(solved=solved,
-                      strategy_sum={idx: list(state.strategy_sum[idx]) for idx in iset_indices},
-                      boundary=boundary)
+    return _LeafSolve(solved={idx: averages[idx] for idx in iset_indices},
+                      strategy_sum={idx: list(state.strategy_sum[idx]) for idx in iset_indices})
 
 
-def _subgame_best_response(tree: SolverTree, entries: Sequence[int],
-                           seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
-                           iset_indices: Sequence[int],
-                           policies: Sequence[Sequence[float]], player: int,
-                           ) -> Dict[int, float]:
-    """Entry values of one player's best response inside a solved subgame.
+def _boundary_values(tree: SolverTree, solved: Mapping[int, List[float]],
+                     seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
+                     ) -> Dict[int, List[float]]:
+    """Per-entry value vectors for the trunk update, one pass per player over all leaves.
 
-    Opponents and chance follow ``policies``; the responder maximizes per
-    infoset under counterfactual weights seeded from the range.
+    Each player's value is their counterfactual best response against the
+    solved subgames; this keeps the trunk update honest about actions the
+    current range excludes. With exact subgame equilibria they coincide with
+    the equilibrium values.
     """
-    idx = player - 1
-    cf_reach: Dict[int, float] = {}
-    order: List[int] = []
-    stack: List[Tuple[int, float]] = []
-    for h in entries:
-        pc, pp = seeds.get(h, (0.0, tuple(0.0 for _ in range(tree.num_players))))
-        weight = pc
-        for j, reach in enumerate(pp):
-            if j != idx:
-                weight *= reach
-        stack.append((h, weight))
-    while stack:
-        nid, weight = stack.pop()
-        cf_reach[nid] = weight
-        order.append(nid)
-        kind = tree.kind[nid]
-        if kind == 0:
-            continue
-        if kind == 1:
-            for prob, child, _rew in tree.kids[nid]:
-                stack.append((child, weight * prob))
-        else:
-            owner = tree.owner[nid]
-            sigma = policies[tree.iset_index[nid]]
-            for k, (child, _rew) in enumerate(tree.kids[nid]):
-                scale = 1.0 if owner == player else sigma[k]
-                stack.append((child, weight * scale))
-
-    own_isets: Dict[int, List[int]] = {}
-    for s_idx in iset_indices:
-        s = tree.isets[s_idx]
-        if s.owner == player:
-            depths = {tree.depths[m] for m in s.members}
-            own_isets.setdefault(max(depths), []).append(s_idx)
-
-    by_depth: Dict[int, List[int]] = {}
-    for nid in order:
-        by_depth.setdefault(tree.depths[nid], []).append(nid)
-
-    value: Dict[int, float] = {}
-    choice: Dict[int, int] = {}
-    for depth in sorted(by_depth, reverse=True):
-        for s_idx in own_isets.get(depth, ()):
-            s = tree.isets[s_idx]
-            best_k, best_q = 0, None
-            for k in range(len(s.actions)):
-                q = 0.0
-                for m in s.members:
-                    if m not in cf_reach:
-                        continue
-                    child, rew = tree.kids[m][k]
-                    q += cf_reach[m] * (rew[idx] + value[child])
-                if best_q is None or q > best_q + 1e-15:
-                    best_k, best_q = k, q
-            choice[s_idx] = best_k
-        for nid in by_depth[depth]:
-            kind = tree.kind[nid]
-            if kind == 0:
-                value[nid] = 0.0
-            elif kind == 1:
-                acc = 0.0
-                for prob, child, rew in tree.kids[nid]:
-                    acc += prob * (rew[idx] + value[child])
-                value[nid] = acc
-            elif tree.owner[nid] == player:
-                k = choice[tree.iset_index[nid]]
-                child, rew = tree.kids[nid][k]
-                value[nid] = rew[idx] + value[child]
-            else:
-                sigma = policies[tree.iset_index[nid]]
-                acc = 0.0
-                for k, (child, rew) in enumerate(tree.kids[nid]):
-                    acc += sigma[k] * (rew[idx] + value[child])
-                value[nid] = acc
-    return {h: value[h] for h in entries}
+    policies: List[Optional[List[float]]] = [None] * len(tree.isets)
+    for idx, dist in solved.items():
+        policies[idx] = dist
+    per_player = [response_values(tree, policies, player, seeds)[0]
+                  for player in range(1, tree.num_players + 1)]
+    return {h: [values[h] for values in per_player] for h in seeds}
 
 
 def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
           trace_stride: int = 0, record_policies: bool = False,
-          parallel_leaves: bool = False, leaf_solver=None) -> CfrDResult:
+          *, tree: Optional[SolverTree] = None) -> CfrDResult:
     """Trunk-restricted regret minimization with per-iteration leaf subgame solves.
 
     Each round computes reach probabilities through the trunk under the
     current trunk policy, solves every leaf subgame for the resulting range,
     feeds the solved subgames' entry values into the trunk regret update, and
     regret-matches. The returned profile is the unweighted arithmetic mean of
-    the trunk policies produced after each round.
-
-    ``leaf_solver`` swaps the subgame solver; the default runs regret matching
-    for ``subgame_budget`` rounds with range-substituted reaches. A substitute
-    must honour the same contract: solve the subgame under the given seeds and
-    report per-entry best-response-quality values.
+    the trunk policies produced after each round. Each leaf subgame is solved
+    by ``subgame_budget`` rounds of regret matching with range-substituted
+    reaches. ``tree`` is a prebuilt ``SolverTree`` of the unrolled game; the
+    trace evaluations reuse it.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    solve_one = leaf_solver if leaf_solver is not None else _solve_leaf
     rep = _as_rep(game)
     trunk.validate(rep)
-    tree = SolverTree(rep)
+    tree = tree or SolverTree(rep)
     leaf_keys = trunk.leaves(rep)
     leaf_entries = {key: rep.public_sets[key] for key in leaf_keys}
     entry_set = {h for members in leaf_entries.values() for h in members}
@@ -655,30 +541,15 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
     policies_log: List[PolicyProfile] = []
     start = time.perf_counter()
 
-    def absorb(solve: _LeafSolve, boundary: Dict[int, List[float]]) -> None:
-        boundary.update(solve.boundary)
-        for idx, sums in solve.strategy_sum.items():
-            acc = sub_sum[idx]
-            for k in range(len(acc)):
-                acc[k] += sums[k]
-        last_solved.update(solve.solved)
-
     def solve_all(seeds) -> Dict[int, List[float]]:
-        boundary: Dict[int, List[float]] = {}
-        if parallel_leaves and len(leaf_keys) > 1:
-            with concurrent.futures.ThreadPoolExecutor() as pool:
-                futures = {
-                    key: pool.submit(solve_one, tree, leaf_entries[key], seeds,
-                                     leaf_isets[key], subgame_budget)
-                    for key in leaf_keys
-                }
-                for key in leaf_keys:  # deterministic merge order
-                    absorb(futures[key].result(), boundary)
-        else:
-            for key in leaf_keys:
-                absorb(solve_one(tree, leaf_entries[key], seeds,
-                                 leaf_isets[key], subgame_budget), boundary)
-        return boundary
+        for key in leaf_keys:
+            solve = _solve_leaf(tree, leaf_entries[key], seeds, leaf_isets[key], subgame_budget)
+            for idx, sums in solve.strategy_sum.items():
+                acc = sub_sum[idx]
+                for k in range(len(acc)):
+                    acc[k] += sums[k]
+            last_solved.update(solve.solved)
+        return _boundary_values(tree, last_solved, seeds)
 
     def completed_from(trunk_avg: PolicyProfile) -> PolicyProfile:
         completed = {p: dict(trunk_avg.get(p, {})) for p in rep.players}
@@ -712,8 +583,8 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
             completed = completed_from(_trunk_average(tree, trunk_isets, policy_sum, t + 1))
             trace.append(TracePoint(
                 iteration=t + 1,
-                exploitability=exploitability(rep, completed),
-                value_p1=game_value(rep, completed)[0],
+                exploitability=exploitability(rep, completed, tree=tree),
+                value_p1=game_value(rep, completed, tree=tree)[0],
                 wall_ms=(time.perf_counter() - start) * 1000.0))
 
     average = _trunk_average(tree, trunk_isets, policy_sum, iterations)

@@ -41,6 +41,18 @@ def kuhn_infoset_count():
     return {1: len(CARDS) * 2, 2: len(CARDS) * 2}
 
 
+def _infostate_key(rep, player, nid):
+    """Owner's infostate key at a decision node, in either representation."""
+    if hasattr(rep, "infostate_keys"):
+        return rep.infostate_keys[player][nid]
+    return next(k for k, members in rep.infosets[player].items() if nid in members)
+
+
+def _utility(node):
+    """Utility vector at a terminal: cumulative reward, or a classical leaf's payoff."""
+    return node.utilities if hasattr(node, "utilities") else node.cumulative_reward
+
+
 def terminal_reach_value(rep, profile, terminal):
     """P(z) * utility by walking one terminal's path with explicit products."""
     path = []
@@ -54,9 +66,9 @@ def terminal_reach_value(rep, profile, terminal):
         if parent.chance_dist is not None:
             prob *= parent.chance_dist[child.incoming_action]
         else:
-            key = rep.infostate_keys[parent.actor][parent.id]
+            key = _infostate_key(rep, parent.actor, parent.id)
             prob *= profile[parent.actor][key][child.incoming_action]
-    return prob, terminal.cumulative_reward
+    return prob, _utility(terminal)
 
 
 def expected_utility_by_enumeration(rep, profile):
@@ -69,14 +81,27 @@ def expected_utility_by_enumeration(rep, profile):
     return tuple(totals)
 
 
+def _acting_infosets(rep, player):
+    if hasattr(rep, "acting_infosets"):
+        return rep.acting_infosets(player)
+    return rep.infosets[player]
+
+
 def pure_policies(rep, player):
     """Every deterministic policy of one player, as key -> action dicts."""
-    infosets = rep.acting_infosets(player)
+    infosets = _acting_infosets(rep, player)
     keys = list(infosets)
-    action_sets = [rep.infoset_actions(player, k) for k in keys]
+    action_sets = [rep.nodes[infosets[k][0]].actions for k in keys]
     for combo in itertools.product(*action_sets):
         yield {k: {a: 1.0 if a == chosen else 0.0 for a in acts}
                for k, acts, chosen in zip(keys, action_sets, combo)}
+
+
+def pure_policy_count(rep, player):
+    count = 1
+    for members in _acting_infosets(rep, player).values():
+        count *= len(rep.nodes[members[0]].actions)
+    return count
 
 
 def best_response_by_enumeration(rep, profile, player):

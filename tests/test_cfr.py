@@ -1,5 +1,7 @@
 """Reach probabilities, values, regret matching, self-play, best response."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fosg
 from fosg.cfr import (CfrState, SolverTree, best_response, cfr_run, exploitability,
                       expected_values, reach_probabilities, regret_matching)
-from fosg.errors import MissingPolicy, NotZeroSum
+from fosg.errors import ImperfectRecall, MissingPolicy, NotZeroSum
 
 import oracles
 
@@ -279,6 +281,86 @@ def test_exploitability_rejects_general_sum(kuhn_spec):
     rep = fosg.unroll(skewed)
     with pytest.raises(NotZeroSum):
         exploitability(rep, fosg.uniform_profile(rep))
+
+
+def random_classical_profile(efg, rng):
+    profile = fosg.uniform_profile(efg)
+    for per in profile.values():
+        for key, dist in per.items():
+            raw = [rng.random() + 0.02 for _ in dist]
+            per[key] = {a: r / sum(raw) for a, r in zip(dist, raw)}
+    return profile
+
+
+def nontimeable_with_payoffs(seed):
+    """The Figure-3 tree with seeded zero-sum leaf payoffs in place of zeros."""
+    efg = copy.deepcopy(fosg.nontimeable_fixture())
+    rng = random.Random(seed)
+    for node in efg.terminals():
+        u = round(rng.uniform(-1, 1), 3)
+        node.utilities = (u, -u)
+    return efg
+
+
+def small_perfect_recall_timeable_trees():
+    """Seeded timeable trees with perfect recall and at most 400 pure policies per player."""
+    for depth in (4, 5, 6):
+        for seed in range(40):
+            efg = fosg.random_timeable_efg(seed, depth=depth)
+            if fosg.check_perfect_recall(efg)[0] and max(
+                    oracles.pure_policy_count(efg, p) for p in (1, 2)) <= 400:
+                yield efg
+
+
+def spans_depths(efg):
+    return any(len({efg.nodes[m].depth for m in members}) > 1
+               for per in efg.infosets.values() for members in per.values())
+
+
+def test_best_response_matches_enumeration_on_classical_trees():
+    trees = [nontimeable_with_payoffs(seed) for seed in range(3)]
+    for efg in small_perfect_recall_timeable_trees():
+        timing, _ = fosg.find_exact_timing(efg)
+        trees += [efg, fosg.pad_to_1_timeable(efg, timing)]
+    assert sum(spans_depths(efg) for efg in trees) >= 8
+    rng = random.Random(11)
+    for efg in trees:
+        profile = random_classical_profile(efg, rng)
+        values = []
+        for player in (1, 2):
+            _, value = best_response(efg, profile, player)
+            assert value == pytest.approx(
+                oracles.best_response_by_enumeration(efg, profile, player), abs=1e-12)
+            values.append(value)
+        assert exploitability(efg, profile) == (values[0] + values[1]) / 2.0
+
+
+def test_best_response_requires_perfect_recall_of_the_responder():
+    efg = fosg.random_timeable_efg(6, depth=4)
+    ok, (player, *_rest) = fosg.check_perfect_recall(efg)
+    assert not ok
+    profile = fosg.uniform_profile(efg)
+    with pytest.raises(ImperfectRecall):
+        best_response(efg, profile, player)
+    with pytest.raises(ImperfectRecall):
+        exploitability(efg, profile)
+
+
+def zero_sum_random_rep(seed):
+    spec = fosg.random_fosg(seed, depth=5)
+    rewards = {key: (vec[0], -vec[0]) for key, vec in spec.rewards.items()}
+    return fosg.unroll(dataclasses.replace(spec, rewards=rewards))
+
+
+def test_prebuilt_tree_gives_identical_results(kuhn_rep):
+    rng = random.Random(5)
+    for rep in [kuhn_rep] + [zero_sum_random_rep(seed) for seed in (1, 2, 3)]:
+        tree = SolverTree(rep)
+        for _ in range(2):
+            profile = random_profile(rep, rng)
+            assert exploitability(rep, profile, tree=tree) == exploitability(rep, profile)
+            assert fosg.game_value(rep, profile, tree=tree) == fosg.game_value(rep, profile)
+            assert expected_values(rep, profile, tree=tree) == expected_values(rep, profile)
 
 
 def test_observable_rewards_check(kuhn_rep):

@@ -3,7 +3,10 @@
 import csv
 import json
 
+import pytest
+
 import fosg
+from fosg.cfr import SolverTree
 from fosg.cli import main
 from fosg.io import spec_to_json
 
@@ -76,6 +79,25 @@ def test_solve_cfrd_runs(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["method"] == "cfrd"
     assert doc["exploitability"] < 0.5
+
+
+@pytest.mark.parametrize("argv", [
+    ("cfr", "--iters", "20", "--stride", "5"),
+    ("cfrd", "--iters", "10", "--subgame-iters", "10", "--stride", "5"),
+    ("lp",),
+])
+def test_solve_builds_one_solver_tree(capsys, monkeypatch, argv):
+    original = SolverTree.__init__
+    built = []
+
+    def counting(self, game):
+        built.append(game)
+        original(self, game)
+
+    monkeypatch.setattr(SolverTree, "__init__", counting)
+    code, _, _ = run_cli(capsys, "solve", argv[0], "--game", "kuhn", *argv[1:])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_solve_rejects_general_sum_with_exit_3(capsys, tmp_path):

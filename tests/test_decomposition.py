@@ -265,17 +265,6 @@ def test_cfrd_converges_small(kuhn_rep):
     assert fosg.exploitability(kuhn_rep, out.completed_profile) <= 0.05
 
 
-def test_cfrd_parallel_leaves_match_serial(kuhn_rep):
-    trunk = Trunk.from_depth(kuhn_rep, 2)
-    serial = cfr_d(kuhn_rep, trunk, 20, subgame_budget=20)
-    parallel = cfr_d(kuhn_rep, trunk, 20, subgame_budget=20, parallel_leaves=True)
-    for player in (1, 2):
-        for key, dist in serial.completed_profile[player].items():
-            for action, prob in dist.items():
-                assert prob == pytest.approx(
-                    parallel.completed_profile[player][key][action], abs=1e-12)
-
-
 def test_complete_profile_covers_all_acting_infosets(kuhn_rep):
     trunk = Trunk.from_depth(kuhn_rep, 2)
     out = cfr_d(kuhn_rep, trunk, 30, subgame_budget=30)
@@ -283,26 +272,6 @@ def test_complete_profile_covers_all_acting_infosets(kuhn_rep):
     for player in kuhn_rep.players:
         assert set(resolved[player]) == set(kuhn_rep.acting_infosets(player))
     fosg.exploitability(kuhn_rep, resolved)  # well-formed profile
-
-
-def test_cfrd_leaf_solver_is_pluggable(kuhn_rep):
-    from fosg.decomposition import _solve_leaf
-
-    calls = []
-
-    def counting_solver(tree, entries, seeds, indices, budget):
-        calls.append(tuple(sorted(entries)))
-        return _solve_leaf(tree, entries, seeds, indices, budget)
-
-    trunk = Trunk.from_depth(kuhn_rep, 2)
-    baseline = cfr_d(kuhn_rep, trunk, 10, subgame_budget=10)
-    plugged = cfr_d(kuhn_rep, trunk, 10, subgame_budget=10, leaf_solver=counting_solver)
-    assert len(calls) == 10 * len(trunk.leaves(kuhn_rep))
-    for player in (1, 2):
-        for key, dist in baseline.completed_profile[player].items():
-            for action, prob in dist.items():
-                assert prob == pytest.approx(
-                    plugged.completed_profile[player][key][action], abs=1e-12)
 
 
 def test_cfrd_trace_schema(kuhn_rep):
