@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ImperfectRecall, MissingPolicy, NotZeroSum
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
@@ -201,6 +201,48 @@ class ReachTable:
         return total
 
 
+def _reach_pass(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
+                seeds: Mapping[int, Tuple[float, Sequence[float]]],
+                stop: Collection[int] = (),
+                ) -> Tuple[List[float], List[List[float]]]:
+    """Top-down chance and per-player reaches below a seeded forest.
+
+    ``seeds`` maps each root of the forest to its (chance reach, per-player
+    reach vector); the pass does not descend below nodes in ``stop``. Returns
+    the chance reach and, per player in order, that player's own reach of
+    every node; nodes the pass does not reach keep 0.0.
+    """
+    count = len(tree.kind)
+    chance = [0.0] * count
+    player = [[0.0] * count for _ in range(tree.num_players)]
+    for nid, (pc, pp) in seeds.items():
+        chance[nid] = pc
+        for reaches, value in zip(player, pp):
+            reaches[nid] = value
+    stack = sorted(seeds)
+    while stack:
+        nid = stack.pop()
+        kind = tree.kind[nid]
+        if kind == KIND_TERMINAL or nid in stop:
+            continue
+        if kind == KIND_CHANCE:
+            for prob, child, _rew in tree.kids[nid]:
+                chance[child] = chance[nid] * prob
+                for reaches in player:
+                    reaches[child] = reaches[nid]
+                stack.append(child)
+        else:
+            sigma = policies[tree.iset_index[nid]]
+            own = player[tree.owner[nid] - 1]
+            for k, (child, _rew) in enumerate(tree.kids[nid]):
+                chance[child] = chance[nid]
+                for reaches in player:
+                    reaches[child] = reaches[nid]
+                own[child] = own[nid] * sigma[k]
+                stack.append(child)
+    return chance, player
+
+
 def reach_probabilities(rep: ExtensiveFormRep, profile: PolicyProfile,
                         seeds: Optional[Dict[int, Tuple[float, Tuple[float, ...]]]] = None,
                         *, tree: Optional[SolverTree] = None) -> ReachTable:
@@ -211,38 +253,12 @@ def reach_probabilities(rep: ExtensiveFormRep, profile: PolicyProfile,
     ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
     """
     tree = tree or SolverTree(rep)
-    policies = tree.policies_from_profile(profile)
     players = rep.players
-    count = len(rep.nodes)
-    chance = [0.0] * count
-    player = {p: [0.0] * count for p in players}
     if seeds is None:
         seeds = {0: (1.0, tuple(1.0 for _ in players))}
-    for nid, (pc, pp) in seeds.items():
-        chance[nid] = pc
-        for p in players:
-            player[p][nid] = pp[p - 1]
-    order = sorted(seeds)
-    stack = list(order)
-    while stack:
-        nid = stack.pop()
-        kind = tree.kind[nid]
-        if kind == KIND_TERMINAL:
-            continue
-        if kind == KIND_CHANCE:
-            for prob, child, _rew in tree.kids[nid]:
-                chance[child] = chance[nid] * prob
-                for p in players:
-                    player[p][child] = player[p][nid]
-                stack.append(child)
-        else:
-            sigma = policies[tree.iset_index[nid]]
-            owner = tree.owner[nid]
-            for k, (child, _rew) in enumerate(tree.kids[nid]):
-                chance[child] = chance[nid]
-                for p in players:
-                    player[p][child] = player[p][nid] * (sigma[k] if p == owner else 1.0)
-                stack.append(child)
+    chance, reaches = _reach_pass(tree, tree.policies_from_profile(profile), seeds)
+    player = dict(zip(players, reaches))
+    count = len(rep.nodes)
     counterfactual = {}
     for p in players:
         others = [q for q in players if q != p]

@@ -2,8 +2,8 @@
 
 Subcommands: ``inspect`` (validate and report counts), ``solve`` (cfr, cfrd,
 or lp), ``timing`` (check or pad a classical tree), ``export`` (DOT views and
-LP dumps). Exit codes: 0 success, 2 validation or load failure, 3 solver
-precondition failure, 4 timing precondition failure.
+LP dumps). Exit codes: 0 success, 2 bad arguments or a validation or load
+failure, 3 solver precondition failure, 4 timing precondition failure.
 """
 
 from __future__ import annotations
@@ -115,10 +115,20 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _load_trunk(args, rep) -> Trunk:
+    if not args.trunk_file:
+        return Trunk.from_depth(rep, args.trunk_depth)
+    with open(args.trunk_file, "r", encoding="utf-8") as handle:
+        trunk = Trunk(keys=frozenset(tuple(k) for k in json.load(handle)))
+    trunk.validate(rep)
+    return trunk
+
+
 def cmd_solve(args) -> int:
     try:
         spec = _require_spec(_load_game(args.game))
         rep = _validated_rep(spec, args.depth_bound)
+        trunk = _load_trunk(args, rep) if args.method == "cfrd" else None
     except (FosgError, ValueError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -132,12 +142,6 @@ def cmd_solve(args) -> int:
             profile = result.average_profile
             trace = result.trace
         elif args.method == "cfrd":
-            if args.trunk_file:
-                with open(args.trunk_file, "r", encoding="utf-8") as handle:
-                    keys = frozenset(tuple(k) for k in json.load(handle))
-                trunk = Trunk(keys=keys)
-            else:
-                trunk = Trunk.from_depth(rep, args.trunk_depth)
             outcome = cfr_d(rep, trunk, args.iters, args.subgame_iters,
                             trace_stride=args.stride, tree=tree)
             profile = outcome.completed_profile
@@ -241,6 +245,16 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fosg", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -258,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run a solver and write result artifacts")
     p_solve.add_argument("method", choices=("cfr", "cfrd", "lp"))
     p_solve.add_argument("--game", required=True)
-    p_solve.add_argument("--iters", type=int, default=1000)
+    p_solve.add_argument("--iters", type=_positive_int, default=1000)
     p_solve.add_argument("--mode", choices=("simultaneous", "alternating"),
                          default="simultaneous")
-    p_solve.add_argument("--trunk-depth", type=int, default=2)
+    p_solve.add_argument("--trunk-depth", type=_positive_int, default=2)
     p_solve.add_argument("--trunk-file")
     p_solve.add_argument("--subgame-iters", type=int, default=1000)
     p_solve.add_argument("--stride", type=int, default=0)

@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, exploitability, game_value,
-                  response_values)
+from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _reach_pass, exploitability,
+                  game_value, response_values)
 from .errors import InconsistentPBS, UnknownPublicState
-from .model import NOOP, TICK, FactoredObservation, GameSpec, JointKey
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, unroll
+from .model import TICK, FactoredObservation, GameSpec
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree, unroll
 
 
 def _as_rep(game) -> ExtensiveFormRep:
@@ -262,6 +262,8 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
     each player's information state, and publicly reveals the public state
     together with the whole range. Solvers running on the result are expected
     to substitute the range's per-player reaches for the chance-absorbed ones.
+    Raises ``OutcomeDependentReward`` when a chance node below the public
+    state pays different rewards on different outcomes.
     """
     rep = _as_rep(game)
     key = pbs.public_state
@@ -278,9 +280,6 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
         raise InconsistentPBS("range assigns zero mass to the whole public set")
 
     players = rep.players
-    noop_joint = tuple(NOOP for _ in players)
-    zero = tuple(0.0 for _ in players)
-
     subtree: Set[int] = set()
     stack = list(members)
     while stack:
@@ -303,74 +302,16 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
     def name(nid: int) -> str:
         return f"sg{nid}"
 
-    states: List[str] = ["init"]
-    player_fn: Dict[str, frozenset] = {"init": frozenset()}
-    legal: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
-    rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
-    observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
-
     reveal_pub = ("subgame", key, rng.encode())
     tick = FactoredObservation(private=tuple(TICK for _ in players), public=TICK)
-
-    transitions[("init", noop_joint)] = {f"aux{m}": joint[m] / total for m in members}
-    rewards[("init", noop_joint)] = zero
+    prefix = [("init", tuple(0.0 for _ in players),
+               {f"aux{m}": (joint[m] / total, tick) for m in members})]
     for m in members:
-        aux = f"aux{m}"
-        states.append(aux)
-        player_fn[aux] = frozenset()
-        observations[("init", noop_joint, aux)] = tick
-        transitions[(aux, noop_joint)] = {name(m): 1.0}
-        rewards[(aux, noop_joint)] = rep.nodes[m].cumulative_reward
-        observations[(aux, noop_joint, name(m))] = FactoredObservation(
+        reveal = FactoredObservation(
             private=tuple(info_symbol[p][rep.infostate_keys[p][m]] for p in players),
             public=reveal_pub)
-
-    for nid in sorted(subtree):
-        node = rep.nodes[nid]
-        w = name(nid)
-        states.append(w)
-        if node.actor == TERMINAL_ACTOR:
-            player_fn[w] = frozenset()
-            continue
-        edge_obs = {
-            cid: FactoredObservation(
-                private=tuple(info_symbol[p][rep.infostate_keys[p][cid]] for p in players),
-                public=pub_symbol[rep.public_keys[cid]])
-            for cid in node.children.values()
-        }
-        if node.actor == CHANCE_ACTOR:
-            player_fn[w] = frozenset()
-            transitions[(w, noop_joint)] = {
-                name(node.children[label]): node.chance_dist[label] for label in node.actions}
-            base = None
-            for label in node.actions:
-                child = rep.nodes[node.children[label]]
-                reward = rep.edge_reward(child)
-                base = reward if base is None else base
-                observations[(w, noop_joint, name(child.id))] = edge_obs[child.id]
-            rewards[(w, noop_joint)] = base if base is not None else zero
-        else:
-            player = node.actor
-            player_fn[w] = frozenset({player})
-            legal[(w, player)] = node.actions
-            for label in node.actions:
-                child = rep.nodes[node.children[label]]
-                jkey = tuple(label if p == player else NOOP for p in players)
-                transitions[(w, jkey)] = {name(child.id): 1.0}
-                rewards[(w, jkey)] = rep.edge_reward(child)
-                observations[(w, jkey, name(child.id))] = edge_obs[child.id]
-
-    return GameSpec(
-        num_players=rep.num_players,
-        states=tuple(states),
-        initial_state="init",
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-    )
+        prefix.append((f"aux{m}", rep.nodes[m].cumulative_reward, {name(m): (1.0, reveal)}))
+    return _tabulate_tree(rep, sorted(subtree), name, info_symbol, pub_symbol, prefix)
 
 
 def subgame_profile(rep: ExtensiveFormRep, sub_rep: ExtensiveFormRep,
@@ -435,30 +376,33 @@ class CfrDResult:
     leaf_keys: List[Hashable] = field(default_factory=list)
 
 
-def _trunk_reaches(tree: SolverTree, policies: List[List[float]],
-                   entry_set: Set[int]) -> Dict[int, Tuple[float, Tuple[float, ...]]]:
-    """Chance and per-player reaches of every entry node under the trunk policy."""
-    n = tree.num_players
-    out: Dict[int, Tuple[float, Tuple[float, ...]]] = {}
-    stack: List[Tuple[int, float, Tuple[float, ...]]] = [(0, 1.0, tuple(1.0 for _ in range(n)))]
-    while stack:
-        nid, pc, pp = stack.pop()
-        if nid in entry_set:
-            out[nid] = (pc, pp)
-            continue
-        kind = tree.kind[nid]
-        if kind == 0:
-            continue
-        if kind == 1:
-            for prob, child, _rew in tree.kids[nid]:
-                stack.append((child, pc * prob, pp))
-        else:
-            sigma = policies[tree.iset_index[nid]]
-            ow = tree.owner[nid] - 1
-            for k, (child, _rew) in enumerate(tree.kids[nid]):
-                scaled = pp[:ow] + (pp[ow] * sigma[k],) + pp[ow + 1:]
-                stack.append((child, pc, scaled))
-    return out
+@dataclass
+class _Leaves:
+    """The leaf subgames below a trunk: entry histories and infosets per leaf."""
+
+    keys: List[Hashable]
+    entries: Dict[Hashable, Tuple[int, ...]]
+    entry_set: FrozenSet[int]
+    isets: Dict[Hashable, List[int]]
+
+    @staticmethod
+    def below(rep: ExtensiveFormRep, tree: SolverTree, trunk: Trunk) -> "_Leaves":
+        keys = trunk.leaves(rep)
+        entries = {key: rep.public_sets[key] for key in keys}
+        isets = {key: [s.index for s in tree.isets
+                       if _extends(rep.public_keys[s.members[0]], key)]
+                 for key in keys}
+        return _Leaves(keys=keys, entries=entries,
+                       entry_set=frozenset(h for members in entries.values() for h in members),
+                       isets=isets)
+
+    def seeds(self, tree: SolverTree, policies: Sequence[Sequence[float]],
+              ) -> Dict[int, Tuple[float, Tuple[float, ...]]]:
+        """Chance and per-player reaches of every entry under the trunk policy."""
+        root = {0: (1.0, (1.0,) * tree.num_players)}
+        chance, player = _reach_pass(tree, policies, root, stop=self.entry_set)
+        return {h: (chance[h], tuple(reaches[h] for reaches in player))
+                for members in self.entries.values() for h in members}
 
 
 @dataclass
@@ -519,31 +463,23 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
     rep = _as_rep(game)
     trunk.validate(rep)
     tree = tree or SolverTree(rep)
-    leaf_keys = trunk.leaves(rep)
-    leaf_entries = {key: rep.public_sets[key] for key in leaf_keys}
-    entry_set = {h for members in leaf_entries.values() for h in members}
-
-    def iset_public(idx: int) -> Hashable:
-        return rep.public_keys[tree.isets[idx].members[0]]
-
-    trunk_isets = [s.index for s in tree.isets if iset_public(s.index) in trunk.keys]
-    leaf_isets = {
-        key: [s.index for s in tree.isets if _extends(iset_public(s.index), key)]
-        for key in leaf_keys
-    }
+    leaves = _Leaves.below(rep, tree, trunk)
+    trunk_isets = [s.index for s in tree.isets
+                   if rep.public_keys[s.members[0]] in trunk.keys]
 
     state = CfrState(tree)
     policy_sum = {idx: [0.0] * len(tree.isets[idx].actions) for idx in trunk_isets}
     sub_sum = {idx: [0.0] * len(tree.isets[idx].actions)
-               for indices in leaf_isets.values() for idx in indices}
+               for indices in leaves.isets.values() for idx in indices}
     last_solved: Dict[int, List[float]] = {}
     trace: List[TracePoint] = []
     policies_log: List[PolicyProfile] = []
     start = time.perf_counter()
 
     def solve_all(seeds) -> Dict[int, List[float]]:
-        for key in leaf_keys:
-            solve = _solve_leaf(tree, leaf_entries[key], seeds, leaf_isets[key], subgame_budget)
+        for key in leaves.keys:
+            solve = _solve_leaf(tree, leaves.entries[key], seeds, leaves.isets[key],
+                                subgame_budget)
             for idx, sums in solve.strategy_sum.items():
                 acc = sub_sum[idx]
                 for k in range(len(acc)):
@@ -566,9 +502,8 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
     for t in range(iterations):
         if record_policies:
             policies_log.append(tree.profile_from_policies([list(p) for p in state.policies]))
-        if leaf_keys:
-            seeds = _trunk_reaches(tree, state.policies, entry_set)
-            boundary = solve_all(seeds)
+        if leaves.keys:
+            boundary = solve_all(leaves.seeds(tree, state.policies))
         else:
             boundary = None
         state.walk(0, 1.0, [1.0] * tree.num_players, boundary=boundary)
@@ -590,7 +525,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
     average = _trunk_average(tree, trunk_isets, policy_sum, iterations)
     return CfrDResult(average_profile=average, completed_profile=completed_from(average),
                       trace=trace, policies=policies_log if record_policies else None,
-                      leaf_keys=leaf_keys)
+                      leaf_keys=leaves.keys)
 
 
 def _trunk_average(tree: SolverTree, trunk_isets: Sequence[int],
@@ -607,24 +542,18 @@ def complete_profile(rep: ExtensiveFormRep, trunk: Trunk, trunk_profile: PolicyP
                      subgame_budget: int, tree: Optional[SolverTree] = None) -> PolicyProfile:
     """Extend a trunk profile to the whole game by re-solving every leaf subgame."""
     tree = tree or SolverTree(rep)
-    leaf_keys = trunk.leaves(rep)
-    leaf_entries = {key: rep.public_sets[key] for key in leaf_keys}
-    entry_set = {h for members in leaf_entries.values() for h in members}
-
+    leaves = _Leaves.below(rep, tree, trunk)
     policies = tree.uniform_policies()
     for s in tree.isets:
         per = trunk_profile.get(s.owner, {}).get(s.key)
         if per is not None:
             policies[s.index] = [float(per.get(a, 0.0)) for a in s.actions]
 
-    def iset_public(idx: int) -> Hashable:
-        return rep.public_keys[tree.isets[idx].members[0]]
-
     completed: PolicyProfile = {p: dict(trunk_profile.get(p, {})) for p in rep.players}
-    seeds = _trunk_reaches(tree, policies, entry_set)
-    for key in leaf_keys:
-        indices = [s.index for s in tree.isets if _extends(iset_public(s.index), key)]
-        solve = _solve_leaf(tree, leaf_entries[key], seeds, indices, subgame_budget)
+    seeds = leaves.seeds(tree, policies)
+    for key in leaves.keys:
+        indices = leaves.isets[key]
+        solve = _solve_leaf(tree, leaves.entries[key], seeds, indices, subgame_budget)
         for idx in indices:
             s = tree.isets[idx]
             completed[s.owner][s.key] = {a: solve.solved[idx][k] for k, a in enumerate(s.actions)}

@@ -45,6 +45,14 @@ class NotOneTimeable(FosgError):
     """A classical game cannot be timed with unit-length transitions."""
 
 
+class OutcomeDependentReward(FosgError):
+    """A chance node pays different rewards on different outcomes.
+
+    A tabular game pays one reward per (state, joint action), so such a node
+    has no lifted form.
+    """
+
+
 # --- timeability ---
 
 class InvalidTiming(FosgError):

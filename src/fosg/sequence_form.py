@@ -39,37 +39,39 @@ class SequenceSet:
         return len(self.sequences)
 
 
-def _infoset_parent_sequences(rep: ExtensiveFormRep, player: int,
-                              ) -> List[Tuple[Hashable, Tuple[int, ...], Hashable]]:
-    """Acting infosets in canonical order with their parent (infostate, action)."""
-    out = []
-    for key, members in rep.acting_infosets(player).items():
-        first = rep.nodes[members[0]]
-        parent_seq: Hashable = EMPTY
-        node = first
-        while node.parent is not None:
-            parent = rep.nodes[node.parent]
-            if parent.actor == player:
-                parent_seq = (rep.infostate_keys[player][parent.id], node.incoming_action)
-                break
-            node = parent
-        out.append((key, members, parent_seq))
-    return out
+def _last_own_sequences(rep: ExtensiveFormRep, player: int) -> List[Hashable]:
+    """Per node, the player's latest own (infostate, action) above it, or EMPTY."""
+    last: List[Hashable] = [EMPTY] * len(rep.nodes)
+    for node in rep.nodes:  # parents precede children
+        if node.parent is None:
+            continue
+        parent = rep.nodes[node.parent]
+        if parent.actor == player:
+            last[node.id] = (rep.infostate_keys[player][parent.id], node.incoming_action)
+        else:
+            last[node.id] = last[parent.id]
+    return last
 
 
 def enumerate_sequences(rep: ExtensiveFormRep, player: int) -> SequenceSet:
     """Build the sequence set of one player in parent-before-child order."""
+    return _sequences(rep, player)[0]
+
+
+def _sequences(rep: ExtensiveFormRep, player: int) -> Tuple[SequenceSet, List[Hashable]]:
+    """The player's sequence set and, per node, their last sequence above it."""
     ok, witness = check_perfect_recall(rep)
     if not ok:
         raise ImperfectRecall(f"representation lacks perfect recall: {witness!r}")
+    last = _last_own_sequences(rep, player)
     sequences: List[Hashable] = [EMPTY]
     index: Dict[Hashable, int] = {EMPTY: 0}
     parent: List[int] = [-1]
     infoset_key: List[Optional[Hashable]] = [None]
     action: List[Optional[str]] = [None]
     rows: List[Tuple[Hashable, int, Tuple[int, ...]]] = []
-    for key, members, parent_seq in _infoset_parent_sequences(rep, player):
-        parent_idx = index[parent_seq]
+    for key, members in rep.acting_infosets(player).items():
+        parent_idx = index[last[members[0]]]
         children = []
         for a in rep.nodes[members[0]].actions:
             seq = (key, a)
@@ -81,24 +83,14 @@ def enumerate_sequences(rep: ExtensiveFormRep, player: int) -> SequenceSet:
             children.append(index[seq])
         rows.append((key, parent_idx, tuple(children)))
     return SequenceSet(owner=player, sequences=sequences, index=index, parent=parent,
-                       infoset_key=infoset_key, action=action, infoset_rows=rows)
+                       infoset_key=infoset_key, action=action, infoset_rows=rows), last
 
 
 def terminal_sequences(rep: ExtensiveFormRep, seqs: SequenceSet,
                        ) -> Dict[int, int]:
     """Map each terminal node to the owner's last sequence on its path."""
-    player = seqs.owner
-    last: List[int] = [0] * len(rep.nodes)
-    for node in rep.nodes:
-        if node.parent is None:
-            continue
-        parent = rep.nodes[node.parent]
-        if parent.actor == player:
-            key = rep.infostate_keys[player][parent.id]
-            last[node.id] = seqs.index[(key, node.incoming_action)]
-        else:
-            last[node.id] = last[parent.id]
-    return {n.id: last[n.id] for n in rep.terminals()}
+    last = _last_own_sequences(rep, seqs.owner)
+    return {n.id: seqs.index[last[n.id]] for n in rep.terminals()}
 
 
 @dataclass
@@ -118,14 +110,12 @@ def payoff_matrix(rep: ExtensiveFormRep) -> np.ndarray:
     """A[s, t] sums chance reach times player 1's utility over terminals with those sequences."""
     if rep.num_players != 2:
         raise NotZeroSum("the sequence-form payoff matrix requires two players")
-    seqs1 = enumerate_sequences(rep, 1)
-    seqs2 = enumerate_sequences(rep, 2)
-    return _payoff_matrix(rep, seqs1, seqs2)
+    return _payoff_matrix(rep, _sequences(rep, 1), _sequences(rep, 2))
 
 
-def _payoff_matrix(rep: ExtensiveFormRep, seqs1: SequenceSet, seqs2: SequenceSet) -> np.ndarray:
-    b1 = terminal_sequences(rep, seqs1)
-    b2 = terminal_sequences(rep, seqs2)
+def _payoff_matrix(rep: ExtensiveFormRep, row: Tuple[SequenceSet, List[Hashable]],
+                   col: Tuple[SequenceSet, List[Hashable]]) -> np.ndarray:
+    (seqs1, last1), (seqs2, last2) = row, col
     chance = [1.0] * len(rep.nodes)
     for node in rep.nodes:
         if node.parent is None:
@@ -137,7 +127,8 @@ def _payoff_matrix(rep: ExtensiveFormRep, seqs1: SequenceSet, seqs2: SequenceSet
             chance[node.id] = chance[parent.id]
     a = np.zeros((len(seqs1), len(seqs2)))
     for node in rep.terminals():
-        a[b1[node.id], b2[node.id]] += chance[node.id] * node.cumulative_reward[0]
+        s, t = seqs1.index[last1[node.id]], seqs2.index[last2[node.id]]
+        a[s, t] += chance[node.id] * node.cumulative_reward[0]
     return a
 
 
@@ -163,12 +154,11 @@ def _constraint_matrices(seqs: SequenceSet) -> Tuple[np.ndarray, np.ndarray]:
 def build_sequence_lp(rep: ExtensiveFormRep) -> SequenceLP:
     if rep.num_players != 2:
         raise NotZeroSum("the sequence-form program requires two players")
-    seqs1 = enumerate_sequences(rep, 1)
-    seqs2 = enumerate_sequences(rep, 2)
-    e_mat, e_vec = _constraint_matrices(seqs1)
-    f_mat, f_vec = _constraint_matrices(seqs2)
-    return SequenceLP(row_sequences=seqs1, col_sequences=seqs2,
-                      payoff=_payoff_matrix(rep, seqs1, seqs2),
+    row, col = _sequences(rep, 1), _sequences(rep, 2)
+    e_mat, e_vec = _constraint_matrices(row[0])
+    f_mat, f_vec = _constraint_matrices(col[0])
+    return SequenceLP(row_sequences=row[0], col_sequences=col[0],
+                      payoff=_payoff_matrix(rep, row, col),
                       e_matrix=e_mat, e_vector=e_vec,
                       f_matrix=f_mat, f_vector=f_vec)
 
@@ -309,10 +299,3 @@ def lp_profile(rep: ExtensiveFormRep, solution: LPSolution, lp: SequenceLP) -> P
         1: realization_to_behavioral(x_plan, lp.row_sequences, atol=1e-6),
         2: realization_to_behavioral(y_plan, lp.col_sequences, atol=1e-6),
     }
-
-
-def profile_plans(rep: ExtensiveFormRep, profile: PolicyProfile,
-                  ) -> Tuple[RealizationPlan, RealizationPlan]:
-    seqs1 = enumerate_sequences(rep, 1)
-    seqs2 = enumerate_sequences(rep, 2)
-    return (plan_from_policy(seqs1, profile[1]), plan_from_policy(seqs2, profile[2]))

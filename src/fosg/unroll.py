@@ -10,10 +10,10 @@ both directions and back into the tabular game model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DepthExceeded, ImperfectRecall, NotOneTimeable, NotSerial,
-                     ThickPublicSets)
+                     OutcomeDependentReward, ThickPublicSets)
 from .model import (EMPTY_PUBLIC, NOOP, FactoredObservation, GameSpec, InfoKey,
                     JointKey, advance_keys, is_serial, merge_chance)
 
@@ -81,15 +81,6 @@ class ExtensiveFormRep:
 
     def infoset_actions(self, player: int, key: Hashable) -> Tuple[str, ...]:
         return self.nodes[self.infosets[player][key][0]].actions
-
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True when node ``a`` is a strict ancestor of node ``b``."""
-        node = self.nodes[b]
-        while node.parent is not None:
-            if node.parent == a:
-                return True
-            node = self.nodes[node.parent]
-        return False
 
 
 @dataclass
@@ -402,19 +393,13 @@ def forget_factorization(spec: GameSpec) -> GameSpec:
     )
 
 
-def posg_key(key: InfoKey) -> InfoKey:
-    """Map an information-state key onto its factorization-forgetting counterpart."""
-    out = []
-    for el in key:
-        if el[0] == "o":
-            out.append(("o", (el[1], el[2]), EMPTY_PUBLIC))
-        else:
-            out.append(el)
-    return tuple(out)
-
-
 def original_key(key: InfoKey) -> InfoKey:
-    """Inverse of posg_key."""
+    """Map an information-state key of the factorization-forgetting game back.
+
+    ``forget_factorization`` turns each observation element
+    ``("o", private, public)`` into ``("o", (private, public), EMPTY_PUBLIC)``;
+    this undoes it.
+    """
     out = []
     for el in key:
         if el[0] == "o":
@@ -468,30 +453,57 @@ def lift_to_fosg(rep: ExtensiveFormRep) -> GameSpec:
     def state_name(nid: int) -> str:
         return f"h{nid}"
 
+    prefix = []
+    if rep.root.actor not in (CHANCE_ACTOR, TERMINAL_ACTOR):
+        # The model requires a playerless initial state; prepend one.
+        enter = FactoredObservation(
+            private=tuple(info_symbol[p][rep.infostate_keys[p][0]] for p in rep.players),
+            public=pub_symbol[rep.public_keys[0]])
+        prefix.append(("h-init", tuple(0.0 for _ in rep.players), {state_name(0): (1.0, enter)}))
+    return _tabulate_tree(rep, range(len(rep.nodes)), state_name, info_symbol, pub_symbol, prefix)
+
+
+_PrefixState = Tuple[str, Tuple[float, ...], Dict[str, Tuple[float, FactoredObservation]]]
+
+
+def _tabulate_tree(rep: ExtensiveFormRep, node_ids: Iterable[int],
+                   state_name: Callable[[int], str],
+                   info_symbol: Mapping[int, Mapping[Hashable, str]],
+                   pub_symbol: Mapping[Hashable, str],
+                   prefix: Sequence[_PrefixState] = ()) -> GameSpec:
+    """The tabular game whose states are ``prefix`` followed by the nodes ``node_ids``.
+
+    The first of these states is the initial one. Each prefix entry
+    ``(state, reward, successors)`` is a playerless state
+    paying ``reward`` and moving to each successor state with its
+    ``(probability, observation)``. Node ``nid`` becomes the state
+    ``state_name(nid)``; its edges keep their probabilities and rewards, and
+    each edge observes the child's information and public cells through the
+    two symbol tables. Raises ``OutcomeDependentReward`` at a chance node
+    whose outcomes pay rewards more than 1e-12 apart, since a transition pays
+    one reward whatever its outcome.
+    """
     players = rep.players
-    states = [state_name(n.id) for n in rep.nodes]
+    noop_joint = tuple(NOOP for _ in players)
+    states: List[str] = []
     player_fn: Dict[str, frozenset] = {}
     legal: Dict[Tuple[str, int], Tuple[str, ...]] = {}
     transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
     rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
     observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
-    noop_joint = tuple(NOOP for _ in players)
 
-    initial = state_name(0)
-    root = rep.root
-    if root.actor not in (CHANCE_ACTOR, TERMINAL_ACTOR):
-        # The model requires a playerless initial state; prepend one.
-        initial = "h-init"
-        states.insert(0, initial)
-        player_fn[initial] = frozenset()
-        transitions[(initial, noop_joint)] = {state_name(0): 1.0}
-        rewards[(initial, noop_joint)] = tuple(0.0 for _ in players)
-        observations[(initial, noop_joint, state_name(0))] = FactoredObservation(
-            private=tuple(info_symbol[p][rep.infostate_keys[p][0]] for p in players),
-            public=pub_symbol[rep.public_keys[0]])
+    for state, reward, successors in prefix:
+        states.append(state)
+        player_fn[state] = frozenset()
+        transitions[(state, noop_joint)] = {succ: prob for succ, (prob, _) in successors.items()}
+        rewards[(state, noop_joint)] = reward
+        for succ, (_, obs) in successors.items():
+            observations[(state, noop_joint, succ)] = obs
 
-    for node in rep.nodes:
-        w = state_name(node.id)
+    for nid in node_ids:
+        node = rep.nodes[nid]
+        w = state_name(nid)
+        states.append(w)
         if node.actor == TERMINAL_ACTOR:
             player_fn[w] = frozenset()
             continue
@@ -513,7 +525,8 @@ def lift_to_fosg(rep: ExtensiveFormRep) -> GameSpec:
                 if base is None:
                     base = reward
                 elif any(abs(a - b) > 1e-12 for a, b in zip(base, reward)):
-                    raise ValueError(f"chance node {node.id} has outcome-dependent edge rewards")
+                    raise OutcomeDependentReward(
+                        f"chance node {node.id} has outcome-dependent edge rewards")
                 observations[(w, noop_joint, state_name(child.id))] = edge_obs[child.id]
             rewards[(w, noop_joint)] = base if base is not None else tuple(0.0 for _ in players)
         else:
@@ -530,13 +543,12 @@ def lift_to_fosg(rep: ExtensiveFormRep) -> GameSpec:
     return GameSpec(
         num_players=rep.num_players,
         states=tuple(states),
-        initial_state=initial,
+        initial_state=states[0],
         player_fn=player_fn,
         legal_actions=legal,
         transitions=transitions,
         rewards=rewards,
         observations=observations,
-        chance_policy=None,
     )
 
 

@@ -71,6 +71,22 @@ def terminal_reach_value(rep, profile, terminal):
     return prob, _utility(terminal)
 
 
+def reach_by_path(rep, profile, nid):
+    """Chance reach and each player's own reach of one node, up its parent pointers."""
+    chance = 1.0
+    own = [1.0] * rep.num_players
+    node = rep.nodes[nid]
+    while node.parent is not None:
+        parent = rep.nodes[node.parent]
+        if parent.chance_dist is not None:
+            chance *= parent.chance_dist[node.incoming_action]
+        else:
+            key = _infostate_key(rep, parent.actor, parent.id)
+            own[parent.actor - 1] *= profile[parent.actor][key][node.incoming_action]
+        node = parent
+    return chance, tuple(own)
+
+
 def expected_utility_by_enumeration(rep, profile):
     """Expected utility vector as a plain sum over all terminals."""
     totals = [0.0] * rep.num_players

@@ -221,6 +221,29 @@ def test_solve_cfrd_with_trunk_file(capsys, tmp_path):
     assert json.loads(out_path.read_text())["method"] == "cfrd"
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "cfr", "--game", "kuhn", "--iters", "0"),
+    ("solve", "cfrd", "--game", "kuhn", "--trunk-depth", "0"),
+])
+def test_solve_rejects_non_positive_counts_with_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "must be a positive integer" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_solve_cfrd_rejects_trunk_file_without_root_with_exit_2(capsys, tmp_path):
+    trunk_path = tmp_path / "trunk.json"
+    trunk_path.write_text(json.dumps([["dealt"]]))
+    code, _, err = run_cli(capsys, "solve", "cfrd", "--game", "kuhn",
+                           "--trunk-file", str(trunk_path))
+    assert code == 2
+    assert err.splitlines() == ["trunk must contain the root public state"]
+
+
 def test_fixture_catalog_metadata():
     from fosg.games import catalog
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
-from fosg.cfr import expected_values, reach_probabilities
-from fosg.decomposition import (PublicBeliefState, Range, Trunk, build_subgame, cfr_d,
+from fosg.cfr import SolverTree, expected_values, reach_probabilities
+from fosg.decomposition import (PublicBeliefState, Range, Trunk, _Leaves, build_subgame, cfr_d,
                                 closed_under_infosets, complete_profile, public_subtree,
                                 range_at, subgame_histories, subgame_profile, trivial_pbs)
-from fosg.errors import InconsistentPBS, UnknownPublicState
+from fosg.errors import InconsistentPBS, OutcomeDependentReward, UnknownPublicState
 
-from test_cfr import random_profile
+import oracles
+from test_cfr import random_profile, zero_sum_random_rep
 
 
 def test_public_subtree_root_and_leaf(kuhn_rep):
@@ -163,6 +164,21 @@ def test_zero_mass_pbs_rejected(kuhn_rep):
         build_subgame(kuhn_rep, PublicBeliefState(public_state=rng.public_state, range=dead))
 
 
+def test_chance_outcome_dependent_rewards_are_rejected():
+    # Padded and augmented random trees put utilities on the edges into
+    # leaves, so a chance node can pay different rewards per outcome. A
+    # tabular transition pays one reward, so neither the lifted game nor the
+    # subgame can express it.
+    for seed in (0, 2, 3, 4, 7):
+        efg = fosg.random_timeable_efg(seed, depth=4)
+        timing, _ = fosg.find_exact_timing(efg)
+        rep = fosg.augment_classical(fosg.pad_to_1_timeable(efg, timing))
+        with pytest.raises(OutcomeDependentReward):
+            fosg.lift_to_fosg(rep)
+        with pytest.raises(OutcomeDependentReward):
+            build_subgame(rep, trivial_pbs(rep))
+
+
 def test_mismatched_pbs_rejected(kuhn_rep):
     profile = fosg.uniform_profile(kuhn_rep)
     rng = range_at(kuhn_rep, profile, ("dealt",))
@@ -242,6 +258,20 @@ def test_cfrd_whole_tree_matches_cfr_exactly(kuhn_rep):
             for key, dist in step_a[player].items():
                 for action, prob in dist.items():
                     assert abs(prob - step_b[player][key][action]) <= 1e-12
+
+
+def test_cfrd_entry_seeds_match_path_products(kuhn_rep):
+    rng = random.Random(17)
+    for rep in [kuhn_rep] + [zero_sum_random_rep(seed) for seed in (1, 2)]:
+        tree = SolverTree(rep)
+        profile = random_profile(rep, rng)
+        leaves = _Leaves.below(rep, tree, Trunk.from_depth(rep, 2))
+        seeds = leaves.seeds(tree, tree.policies_from_profile(profile))
+        assert seeds and set(seeds) == leaves.entry_set
+        for h, (chance, own) in seeds.items():
+            expected_chance, expected_own = oracles.reach_by_path(rep, profile, h)
+            assert chance == pytest.approx(expected_chance, abs=1e-15)
+            assert own == pytest.approx(expected_own, abs=1e-15)
 
 
 def test_cfrd_average_is_arithmetic_mean(kuhn_rep):
