@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ImperfectRecall, MissingPolicy, NotZeroSum
+from .errors import ImperfectRecall, InvalidArgument, MissingPolicy, NotZeroSum
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
 
 PolicyProfile = Dict[int, Dict[Hashable, Dict[str, float]]]
@@ -524,9 +524,9 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
     reuse it.
     """
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise InvalidArgument("iterations must be >= 1")
     if mode not in ("simultaneous", "alternating"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     tree = tree or SolverTree(game)
     state = CfrState(tree)
     trace: List[TracePoint] = []

@@ -3,7 +3,9 @@
 Subcommands: ``inspect`` (validate and report counts), ``solve`` (cfr, cfrd,
 or lp), ``timing`` (check or pad a classical tree), ``export`` (DOT views and
 LP dumps). Exit codes: 0 success, 2 bad arguments or a validation or load
-failure, 3 solver precondition failure, 4 timing precondition failure.
+failure, 3 solver precondition failure, 4 timing precondition failure, 5 the
+solver failed (an infeasible or unbounded LP, a used-up pivot budget, or any
+other fosg error raised while solving).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import games
 from .cfr import SolverTree, cfr_run, exploitability, game_value
 from .decomposition import Trunk, cfr_d
 from .dot import export_view, render_key
-from .errors import FosgError, NotZeroSum
+from .errors import FosgError, InvalidArgument, NotZeroSum
 from .io import efg_to_json, sniff_format, spec_from_json, efg_from_json, trace_to_csv
 from .model import GameSpec, serialize, validate
 from .sequence_form import build_sequence_lp, lp_dump, lp_profile, solve_zero_sum_lp
@@ -119,7 +121,12 @@ def _load_trunk(args, rep) -> Trunk:
     if not args.trunk_file:
         return Trunk.from_depth(rep, args.trunk_depth)
     with open(args.trunk_file, "r", encoding="utf-8") as handle:
-        trunk = Trunk(keys=frozenset(tuple(k) for k in json.load(handle)))
+        doc = json.load(handle)
+    if not (isinstance(doc, list) and all(
+            isinstance(key, list) and all(isinstance(o, str) for o in key) for key in doc)):
+        raise InvalidArgument(
+            "trunk file must hold a JSON list of public-state keys, each a list of strings")
+    trunk = Trunk(keys=frozenset(tuple(key) for key in doc))
     trunk.validate(rep)
     return trunk
 
@@ -159,6 +166,9 @@ def cmd_solve(args) -> int:
     except NotZeroSum as exc:
         print(exc, file=sys.stderr)
         return 3
+    except FosgError as exc:
+        print(exc, file=sys.stderr)
+        return 5
 
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
@@ -277,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="simultaneous")
     p_solve.add_argument("--trunk-depth", type=_positive_int, default=2)
     p_solve.add_argument("--trunk-file")
-    p_solve.add_argument("--subgame-iters", type=int, default=1000)
+    p_solve.add_argument("--subgame-iters", type=_positive_int, default=1000)
     p_solve.add_argument("--stride", type=int, default=0)
     p_solve.add_argument("--trace")
     p_solve.add_argument("--out")

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence,
 
 from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _reach_pass, exploitability,
                   game_value, response_values)
-from .errors import InconsistentPBS, UnknownPublicState
+from .errors import InconsistentPBS, InvalidArgument, UnknownPublicState
 from .model import TICK, FactoredObservation, GameSpec
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree, unroll
 
@@ -346,17 +346,17 @@ class Trunk:
     def from_depth(rep: ExtensiveFormRep, depth: int) -> "Trunk":
         """The first ``depth`` levels of the public tree."""
         if depth < 1:
-            raise ValueError("trunk depth must be >= 1")
+            raise InvalidArgument("trunk depth must be >= 1")
         return Trunk(keys=frozenset(k for k in rep.public_sets if len(k) < depth))
 
     def validate(self, rep: ExtensiveFormRep) -> None:
         if rep.public_keys[0] not in self.keys:
-            raise ValueError("trunk must contain the root public state")
+            raise InvalidArgument("trunk must contain the root public state")
         for key in self.keys:
             if key not in rep.public_sets:
                 raise UnknownPublicState(f"trunk key {key!r} does not occur")
             if len(key) and key[:-1] not in self.keys:
-                raise ValueError(f"trunk is not closed under ancestors at {key!r}")
+                raise InvalidArgument(f"trunk is not closed under ancestors at {key!r}")
 
     def leaves(self, rep: ExtensiveFormRep) -> List[Hashable]:
         """Public states just below the trunk, in first-occurrence order."""
@@ -459,7 +459,9 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
     trace evaluations reuse it.
     """
     if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+        raise InvalidArgument("iterations must be >= 1")
+    if subgame_budget < 1:
+        raise InvalidArgument("subgame budget must be >= 1")
     rep = _as_rep(game)
     trunk.validate(rep)
     tree = tree or SolverTree(rep)
@@ -541,6 +543,8 @@ def _trunk_average(tree: SolverTree, trunk_isets: Sequence[int],
 def complete_profile(rep: ExtensiveFormRep, trunk: Trunk, trunk_profile: PolicyProfile,
                      subgame_budget: int, tree: Optional[SolverTree] = None) -> PolicyProfile:
     """Extend a trunk profile to the whole game by re-solving every leaf subgame."""
+    if subgame_budget < 1:
+        raise InvalidArgument("subgame budget must be >= 1")
     tree = tree or SolverTree(rep)
     leaves = _Leaves.below(rep, tree, trunk)
     policies = tree.uniform_policies()

@@ -9,6 +9,10 @@ class FosgError(Exception):
     """Base class for all fosg errors."""
 
 
+class InvalidArgument(FosgError, ValueError):
+    """An argument lies outside the values the function accepts."""
+
+
 # --- game model ---
 
 class StepAtTerminal(FosgError):
@@ -87,6 +91,10 @@ class Infeasible(FosgError):
 
 class Unbounded(FosgError):
     """The linear program is unbounded below."""
+
+
+class PivotLimit(FosgError):
+    """The simplex used up its pivot budget without reaching an optimal basis."""
 
 
 class InvalidPlan(FosgError):

@@ -4,18 +4,36 @@ Solves min c.x subject to A x = b, x >= 0. Phase one drives artificial
 variables out of the basis; phase two optimizes the real objective. Bland's
 rule (lowest eligible index enters, lowest-index basic variable leaves on
 ratio ties) makes the pivot sequence a deterministic function of the input.
+
+The kernel works on whole arrays but applies to every entry it changes the
+same floating-point operations as a row-by-row elimination, so its pivots and
+results are bitwise those of the plain loop (kept as the reference in the
+tests). Pricing is one BLAS product over the full tableau slice: a product
+over the rows with non-zero basic cost sums in another order and gives other
+bits. A pivot skips rows whose pivot-column entry is zero and columns whose
+pivot-row entry is zero. There the plain loop subtracts a signed zero, which
+can only flip the sign of a zero entry; no comparison sees that, and the
+right-hand side, which the solution is read from, is always updated. Bland's
+rule ends only in exact arithmetic, so a solve that reaches
+``PIVOTS_PER_DIMENSION`` pivots per row and column raises ``PivotLimit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .errors import Infeasible, Unbounded
+from .errors import Infeasible, PivotLimit, Unbounded
 
 TOL = 1e-9
+
+# The largest completing benchmark LP needs 2.5 pivots per row and column.
+PIVOTS_PER_DIMENSION = 50
+
+# Most tableau entries one elimination block updates at a time.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -27,88 +45,114 @@ class SimplexResult:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+def _pivot(tableau: np.ndarray, row: int, col: int, width: int) -> None:
+    """Pivot on (row, col), updating the first ``width`` columns and the right-hand side."""
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(factors)
+    cols = np.append(np.flatnonzero(pivot_row[:width]), tableau.shape[1] - 1)
+    values = pivot_row[cols]
+    flat = tableau.reshape(-1)  # a view: the tableau is built C-contiguous
+    offsets = rows * tableau.shape[1]
+    step = max(1, _BLOCK_ENTRIES // len(cols))
+    for start in range(0, len(rows), step):
+        index = np.add.outer(offsets[start:start + step], cols)
+        products = np.multiply.outer(factors[rows[start:start + step]], values)
+        np.subtract.at(flat, index.ravel(), products.ravel())
+
+
+def _leaving_row(tableau: np.ndarray, basis: List[int], col: int) -> int:
+    """Ratio test with Bland's tie-break, run in row order over the eligible rows."""
+    column = tableau[:, col]
+    rows = np.flatnonzero(column > TOL)
+    if not len(rows):
+        return -1
+    ratios = (tableau[rows, -1] / column[rows]).tolist()
+    rows = rows.tolist()
+    best_row, best_ratio = rows[0], ratios[0]
+    for r, ratio in zip(rows[1:], ratios[1:]):
+        if ratio < best_ratio - TOL or (
+                abs(ratio - best_ratio) <= TOL and basis[r] < basis[best_row]):
+            best_row, best_ratio = r, ratio
+    return best_row
 
 
 def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray,
-               n_cols: int, pivots: List[Tuple[int, int]],
-               frozen: Optional[set] = None) -> None:
-    m = tableau.shape[0]
+               width: int, pivots: List[Tuple[int, int]], budget: int, phase: int) -> None:
+    """Pivot until no column among the first ``width`` has a negative reduced cost.
+
+    ``costs`` covers every column but the right-hand side; pricing always runs
+    over all of them, so each reduced cost comes from the same BLAS call.
+    """
+    n_cols = len(costs)
     while True:
-        # Reduced costs under the current basis.
-        cb = costs[basis]
-        reduced = costs[:n_cols] - cb @ tableau[:, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if frozen and j in frozen:
-                continue
-            if reduced[j] < -TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = costs - costs[basis] @ tableau[:, :n_cols]
+        negative = reduced[:width] < -TOL
+        entering = int(negative.argmax())
+        if not negative[entering]:
             return
-        column = tableau[:, entering]
-        best_row = -1
-        best_ratio = None
-        for r in range(m):
-            if column[r] > TOL:
-                ratio = tableau[r, -1] / column[r]
-                if best_row < 0 or ratio < best_ratio - TOL or (
-                        abs(ratio - best_ratio) <= TOL and basis[r] < basis[best_row]):
-                    best_row, best_ratio = r, ratio
-        if best_row < 0:
+        row = _leaving_row(tableau, basis, entering)
+        if row < 0:
             raise Unbounded(f"column {entering} unbounded")
-        pivots.append((entering, basis[best_row]))
-        _pivot(tableau, best_row, entering)
-        basis[best_row] = entering
+        if len(pivots) >= budget:
+            raise PivotLimit(f"simplex phase {phase} reached the pivot budget "
+                             f"after {len(pivots)} pivots")
+        pivots.append((entering, basis[row]))
+        _pivot(tableau, row, entering, width)
+        basis[row] = entering
 
 
 def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexResult:
     """Minimize ``c.x`` over ``a x = b, x >= 0``.
 
-    Raises Infeasible when phase one cannot reach zero and Unbounded when the
-    objective has no finite minimum. Dual values are recovered from the final
-    basis against the original data.
+    Raises Infeasible when phase one cannot reach zero, Unbounded when the
+    objective has no finite minimum, and PivotLimit when the pivot budget runs
+    out. Dual values are recovered from the final basis against the original
+    data.
     """
-    a = np.asarray(a, dtype=float).copy()
+    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float).copy()
+    c = np.asarray(c, dtype=float)
     m, n = a.shape
     flip = b < 0
-    a[flip] *= -1.0
+    if flip.any():
+        a = a.copy()
+        a[flip] *= -1.0
     b[flip] *= -1.0
-
-    a_orig = a.copy()
+    budget = PIVOTS_PER_DIMENSION * (m + n)
 
     # Phase 1 tableau: [A | I | b] with artificial costs.
-    tableau = np.hstack([a, np.eye(m), b.reshape(-1, 1)])
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:, :n] = a
+    tableau[np.arange(m), n + np.arange(m)] = 1.0
+    tableau[:, -1] = b
     basis = list(range(n, n + m))
-    costs1 = np.concatenate([np.zeros(n), np.ones(m)])
+    costs1 = np.zeros(n + m)
+    costs1[n:] = 1.0
     pivots: List[Tuple[int, int]] = []
-    _run_phase(tableau, basis, costs1, n + m, pivots)
+    _run_phase(tableau, basis, costs1, n + m, pivots, budget, phase=1)
 
     phase1_obj = float(costs1[basis] @ tableau[:, -1])
     if phase1_obj > 1e-7:
         raise Infeasible(f"phase-1 objective {phase1_obj}")
 
     # Drive leftover artificial variables out of the basis; rows that cannot
-    # pivot on a real column are redundant and stay harmlessly at zero.
+    # pivot on a real column are redundant and stay harmlessly at zero. From
+    # here on no artificial column enters, so their entries are left stale.
     for r in range(m):
         if basis[r] >= n:
-            for j in range(n):
-                if abs(tableau[r, j]) > TOL:
-                    pivots.append((j, basis[r]))
-                    _pivot(tableau, r, j)
-                    basis[r] = j
-                    break
+            candidates = np.flatnonzero(np.abs(tableau[r, :n]) > TOL)
+            if len(candidates):
+                j = int(candidates[0])
+                pivots.append((j, basis[r]))
+                _pivot(tableau, r, j, n)
+                basis[r] = j
 
-    costs2 = np.concatenate([c, np.zeros(m)])
-    artificial = set(range(n, n + m))
-    _run_phase(tableau, basis, costs2, n + m, pivots, frozen=artificial)
+    costs2 = np.zeros(n + m)
+    costs2[:n] = c
+    _run_phase(tableau, basis, costs2, n, pivots, budget, phase=2)
 
     x = np.zeros(n)
     for r, var in enumerate(basis):
@@ -121,7 +165,7 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
     basis_matrix = np.zeros((m, m))
     for r in range(m):
         if basis[r] < n:
-            basis_matrix[:, r] = a_orig[:, basis[r]]
+            basis_matrix[:, r] = a[:, basis[r]]
         else:
             basis_matrix[basis[r] - n, r] = 1.0
     cb = np.array([c[v] if v < n else 0.0 for v in basis])

@@ -1,11 +1,20 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive: plain enumeration over terminals,
-exhaustive search over pure policies, and a hand-rolled Kuhn settlement.
-None of it shares code with the solvers it cross-checks.
+exhaustive search over pure policies, a hand-rolled Kuhn settlement, and the
+row-by-row Bland's-rule simplex the vectorized kernel must match pivot for
+pivot. None of it shares code with the solvers it cross-checks.
 """
 
+import dataclasses
 import itertools
+from typing import List, Tuple
+
+import numpy as np
+
+import fosg
+from fosg.errors import Infeasible, Unbounded
+from fosg.simplex import TOL, SimplexResult
 
 CARDS = ("J", "Q", "K")
 KUHN_LINES = ("kk", "kbf", "kbc", "bf", "bc")
@@ -130,3 +139,125 @@ def best_response_by_enumeration(rep, profile, player):
         if best is None or value > best:
             best = value
     return best
+
+
+def zero_sum_random_rep(seed, depth=5):
+    """Unrolled ``random_fosg(seed, depth)`` with every reward rewritten to ``(r, -r)``."""
+    spec = fosg.random_fosg(seed, depth=depth)
+    rewards = {key: (vec[0], -vec[0]) for key, vec in spec.rewards.items()}
+    return fosg.unroll(dataclasses.replace(spec, rewards=rewards))
+
+
+# --- the dense Bland's-rule simplex, one row at a time ---
+
+
+def _reference_pivot(tableau, row, col):
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+
+
+def _reference_run_phase(tableau, basis, costs, n_cols, pivots, frozen=None):
+    m = tableau.shape[0]
+    while True:
+        # Reduced costs under the current basis.
+        cb = costs[basis]
+        reduced = costs[:n_cols] - cb @ tableau[:, :n_cols]
+        entering = -1
+        for j in range(n_cols):
+            if frozen and j in frozen:
+                continue
+            if reduced[j] < -TOL:
+                entering = j
+                break
+        if entering < 0:
+            return
+        column = tableau[:, entering]
+        best_row = -1
+        best_ratio = None
+        for r in range(m):
+            if column[r] > TOL:
+                ratio = tableau[r, -1] / column[r]
+                if best_row < 0 or ratio < best_ratio - TOL or (
+                        abs(ratio - best_ratio) <= TOL and basis[r] < basis[best_row]):
+                    best_row, best_ratio = r, ratio
+        if best_row < 0:
+            raise Unbounded(f"column {entering} unbounded")
+        pivots.append((entering, basis[best_row]))
+        _reference_pivot(tableau, best_row, entering)
+        basis[best_row] = entering
+
+
+def bland_simplex_reference(c, a, b):
+    """Minimize ``c.x`` over ``a x = b, x >= 0`` with full-tableau row operations."""
+    a = np.asarray(a, dtype=float).copy()
+    b = np.asarray(b, dtype=float).copy()
+    c = np.asarray(c, dtype=float).copy()
+    m, n = a.shape
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+
+    a_orig = a.copy()
+
+    # Phase 1 tableau: [A | I | b] with artificial costs.
+    tableau = np.hstack([a, np.eye(m), b.reshape(-1, 1)])
+    basis = list(range(n, n + m))
+    costs1 = np.concatenate([np.zeros(n), np.ones(m)])
+    pivots: List[Tuple[int, int]] = []
+    _reference_run_phase(tableau, basis, costs1, n + m, pivots)
+
+    phase1_obj = float(costs1[basis] @ tableau[:, -1])
+    if phase1_obj > 1e-7:
+        raise Infeasible(f"phase-1 objective {phase1_obj}")
+
+    # Drive leftover artificial variables out of the basis; rows that cannot
+    # pivot on a real column are redundant and stay harmlessly at zero.
+    for r in range(m):
+        if basis[r] >= n:
+            for j in range(n):
+                if abs(tableau[r, j]) > TOL:
+                    pivots.append((j, basis[r]))
+                    _reference_pivot(tableau, r, j)
+                    basis[r] = j
+                    break
+
+    costs2 = np.concatenate([c, np.zeros(m)])
+    artificial = set(range(n, n + m))
+    _reference_run_phase(tableau, basis, costs2, n + m, pivots, frozen=artificial)
+
+    x = np.zeros(n)
+    for r, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[r, -1]
+    objective = float(c @ x)
+
+    # Duals y solve B^T y = c_B for the final basis columns of the original A;
+    # a leftover artificial in the basis contributes its identity column at cost 0.
+    basis_matrix = np.zeros((m, m))
+    for r in range(m):
+        if basis[r] < n:
+            basis_matrix[:, r] = a_orig[:, basis[r]]
+        else:
+            basis_matrix[basis[r] - n, r] = 1.0
+    cb = np.array([c[v] if v < n else 0.0 for v in basis])
+    duals = np.linalg.solve(basis_matrix.T, cb)
+    duals[flip] *= -1.0
+    return SimplexResult(x=x, objective=objective, duals=duals, basis=basis, pivots=pivots)
+
+
+def highs_game_value(lp):
+    """Value of min e.u over F y = f, E.T u - A y >= 0, y >= 0, solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    k, n2 = lp.e_matrix.shape[0], lp.f_matrix.shape[1]
+    cost = np.concatenate([lp.e_vector, np.zeros(n2)])
+    a_ub = np.hstack([-lp.e_matrix.T, lp.payoff])
+    a_eq = np.hstack([np.zeros((lp.f_matrix.shape[0], k)), lp.f_matrix])
+    bounds = [(None, None)] * k + [(0, None)] * n2
+    result = linprog(cost, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), A_eq=a_eq,
+                     b_eq=lp.f_vector, bounds=bounds, method="highs")
+    if result.status != 0:
+        raise RuntimeError(f"HiGHS failed: {result.message}")
+    return result.fun

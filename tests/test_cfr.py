@@ -1,7 +1,6 @@
 """Reach probabilities, values, regret matching, self-play, best response."""
 
 import copy
-import dataclasses
 import random
 
 import pytest
@@ -346,15 +345,9 @@ def test_best_response_requires_perfect_recall_of_the_responder():
         exploitability(efg, profile)
 
 
-def zero_sum_random_rep(seed):
-    spec = fosg.random_fosg(seed, depth=5)
-    rewards = {key: (vec[0], -vec[0]) for key, vec in spec.rewards.items()}
-    return fosg.unroll(dataclasses.replace(spec, rewards=rewards))
-
-
 def test_prebuilt_tree_gives_identical_results(kuhn_rep):
     rng = random.Random(5)
-    for rep in [kuhn_rep] + [zero_sum_random_rep(seed) for seed in (1, 2, 3)]:
+    for rep in [kuhn_rep] + [oracles.zero_sum_random_rep(seed) for seed in (1, 2, 3)]:
         tree = SolverTree(rep)
         for _ in range(2):
             profile = random_profile(rep, rng)

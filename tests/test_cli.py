@@ -6,6 +6,7 @@ import json
 import pytest
 
 import fosg
+from fosg import simplex
 from fosg.cfr import SolverTree
 from fosg.cli import main
 from fosg.io import spec_to_json
@@ -224,6 +225,7 @@ def test_solve_cfrd_with_trunk_file(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("solve", "cfr", "--game", "kuhn", "--iters", "0"),
     ("solve", "cfrd", "--game", "kuhn", "--trunk-depth", "0"),
+    ("solve", "cfrd", "--game", "kuhn", "--subgame-iters", "0"),
 ])
 def test_solve_rejects_non_positive_counts_with_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
@@ -242,6 +244,24 @@ def test_solve_cfrd_rejects_trunk_file_without_root_with_exit_2(capsys, tmp_path
                            "--trunk-file", str(trunk_path))
     assert code == 2
     assert err.splitlines() == ["trunk must contain the root public state"]
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"keys": []}, [[["dealt"]]]])
+def test_solve_cfrd_rejects_malformed_trunk_file_with_exit_2(capsys, tmp_path, doc):
+    trunk_path = tmp_path / "trunk.json"
+    trunk_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "solve", "cfrd", "--game", "kuhn",
+                           "--trunk-file", str(trunk_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "trunk file must hold" in err
+
+
+def test_solve_lp_exits_5_when_the_pivot_budget_runs_out(capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "PIVOTS_PER_DIMENSION", 0)
+    code, out, err = run_cli(capsys, "solve", "lp", "--game", "kuhn")
+    assert code == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "pivot budget" in err
 
 
 def test_fixture_catalog_metadata():

@@ -10,10 +10,11 @@ from fosg.cfr import SolverTree, expected_values, reach_probabilities
 from fosg.decomposition import (PublicBeliefState, Range, Trunk, _Leaves, build_subgame, cfr_d,
                                 closed_under_infosets, complete_profile, public_subtree,
                                 range_at, subgame_histories, subgame_profile, trivial_pbs)
-from fosg.errors import InconsistentPBS, OutcomeDependentReward, UnknownPublicState
+from fosg.errors import (FosgError, InconsistentPBS, InvalidArgument, OutcomeDependentReward,
+                         UnknownPublicState)
 
 import oracles
-from test_cfr import random_profile, zero_sum_random_rep
+from test_cfr import random_profile
 
 
 def test_public_subtree_root_and_leaf(kuhn_rep):
@@ -249,6 +250,23 @@ def test_trunk_validation_rejects_non_closed(kuhn_rep):
         Trunk(keys=frozenset({kuhn_rep.public_keys[0], ("dealt", "bet")})).validate(kuhn_rep)
 
 
+def test_solvers_reject_bad_arguments_with_invalid_argument(kuhn_rep):
+    trunk = Trunk.from_depth(kuhn_rep, 2)
+    calls = [
+        lambda: fosg.cfr_run(kuhn_rep, 0),
+        lambda: fosg.cfr_run(kuhn_rep, 5, mode="sideways"),
+        lambda: cfr_d(kuhn_rep, trunk, 0, subgame_budget=5),
+        lambda: cfr_d(kuhn_rep, trunk, 5, subgame_budget=0),
+        lambda: complete_profile(kuhn_rep, trunk, fosg.uniform_profile(kuhn_rep), 0),
+        lambda: Trunk.from_depth(kuhn_rep, 0),
+        lambda: Trunk(keys=frozenset({("dealt",)})).validate(kuhn_rep),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument) as raised:
+            call()
+        assert isinstance(raised.value, FosgError) and isinstance(raised.value, ValueError)
+
+
 def test_cfrd_whole_tree_matches_cfr_exactly(kuhn_rep):
     whole = Trunk(keys=frozenset(kuhn_rep.public_sets))
     plain = fosg.cfr_run(kuhn_rep, 60, record_policies=True)
@@ -262,7 +280,7 @@ def test_cfrd_whole_tree_matches_cfr_exactly(kuhn_rep):
 
 def test_cfrd_entry_seeds_match_path_products(kuhn_rep):
     rng = random.Random(17)
-    for rep in [kuhn_rep] + [zero_sum_random_rep(seed) for seed in (1, 2)]:
+    for rep in [kuhn_rep] + [oracles.zero_sum_random_rep(seed) for seed in (1, 2)]:
         tree = SolverTree(rep)
         profile = random_profile(rep, rng)
         leaves = _Leaves.below(rep, tree, Trunk.from_depth(rep, 2))

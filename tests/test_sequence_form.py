@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fosg
-from fosg.errors import Infeasible, InvalidPlan, Unbounded
+from fosg import sequence_form, simplex
+from fosg.errors import Infeasible, InvalidPlan, PivotLimit, Unbounded
 from fosg.sequence_form import (EMPTY, build_sequence_lp,
                                 constraint_matrices, enumerate_sequences, lp_dump,
                                 lp_profile, payoff_matrix, plan_from_policy,
@@ -279,3 +280,84 @@ def test_simplex_handles_redundant_rows():
     result = solve_standard_form(c, a, b)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     assert result.x == pytest.approx([0.0, 1.0], abs=1e-9)
+
+
+# --- the vectorized kernel against the row-by-row reference and HiGHS ---
+
+# Random zero-sum games whose reference solve takes well under 0.2 s.
+RANDOM_LP_GAMES = [(5, 0), (5, 2), (5, 3), (5, 8), (5, 11), (6, 2), (6, 5), (6, 10), (6, 11)]
+
+
+class _StandardForm(Exception):
+    """Carries the standard-form program out of solve_zero_sum_lp unsolved."""
+
+
+def _standard_form(lp, monkeypatch):
+    def capture(c, a, b):
+        raise _StandardForm(c, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sequence_form, "solve_standard_form", capture)
+        with pytest.raises(_StandardForm) as captured:
+            solve_zero_sum_lp(lp)
+    return captured.value.args
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_matches_reference(c, a, b):
+    before = _bits(a)
+    expected = oracles.bland_simplex_reference(c, a, b)
+    result = solve_standard_form(c, a, b)
+    assert result.pivots == expected.pivots
+    assert result.basis == expected.basis
+    for name in ("x", "duals", "objective"):
+        assert _bits(getattr(result, name)) == _bits(getattr(expected, name)), name
+    assert _bits(a) == before
+
+
+def test_simplex_matches_reference_on_fixture_lps(kuhn_rep, pennies_rep, monkeypatch):
+    for rep in (kuhn_rep, pennies_rep):
+        _assert_matches_reference(*_standard_form(build_sequence_lp(rep), monkeypatch))
+
+
+@pytest.mark.parametrize("depth, seed", RANDOM_LP_GAMES)
+def test_simplex_matches_reference_on_random_games(depth, seed, monkeypatch):
+    lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=depth))
+    _assert_matches_reference(*_standard_form(lp, monkeypatch))
+
+
+def test_simplex_matches_reference_on_small_programs():
+    _assert_matches_reference(np.array([1.0, 0.0]), np.array([[1.0, 1.0], [2.0, 2.0]]),
+                              np.array([1.0, 2.0]))
+    # A negative right-hand side flips its row; the caller's matrix stays as it was.
+    _assert_matches_reference(np.array([1.0, 2.0, 0.0]),
+                              np.array([[-1.0, -1.0, 0.0], [1.0, -2.0, 1.0]]),
+                              np.array([-1.0, 0.5]))
+    for error, c, a, b in (
+            (Infeasible, [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),
+            (Unbounded, [-1.0, 0.0], [[1.0, -1.0]], [0.0])):
+        c, a, b = np.array(c), np.array(a), np.array(b)
+        with pytest.raises(error) as expected:
+            oracles.bland_simplex_reference(c, a, b)
+        with pytest.raises(error) as got:
+            solve_standard_form(c, a, b)
+        assert str(got.value) == str(expected.value)
+
+
+def test_simplex_stops_at_the_pivot_budget(kuhn_rep, monkeypatch):
+    monkeypatch.setattr(simplex, "PIVOTS_PER_DIMENSION", 0)
+    with pytest.raises(PivotLimit, match="phase 1 .* after 0 pivots"):
+        solve_zero_sum_lp(build_sequence_lp(kuhn_rep))
+
+
+@pytest.mark.parametrize("game", ["kuhn"] + RANDOM_LP_GAMES)
+def test_lp_matches_highs(game, kuhn_rep):
+    pytest.importorskip("scipy")
+    rep = kuhn_rep if game == "kuhn" else oracles.zero_sum_random_rep(game[1], depth=game[0])
+    lp = build_sequence_lp(rep)
+    solution = solve_zero_sum_lp(lp)
+    assert solution.game_value == pytest.approx(oracles.highs_game_value(lp), abs=1e-6)
+    assert fosg.exploitability(rep, lp_profile(rep, solution, lp)) <= 1e-6
