@@ -3,7 +3,8 @@
 Subcommands: ``inspect`` (validate and report counts), ``solve`` (cfr, cfrd,
 or lp), ``timing`` (check or pad a classical tree), ``export`` (DOT views and
 LP dumps). Exit codes: 0 success, 2 bad arguments or a validation or load
-failure, 3 solver precondition failure, 4 timing precondition failure, 5 the
+failure, 3 solver precondition failure (also for ``export --lp-dump``: a
+game that is not two-player), 4 timing precondition failure, 5 the
 solver failed (an infeasible or unbounded LP, a used-up pivot budget, or any
 other fosg error raised while solving).
 """
@@ -60,7 +61,7 @@ def _load_game(source: str):
 
 def _require_spec(loaded) -> GameSpec:
     if loaded[0] != "spec":
-        raise ValueError("this command requires a game-spec source, not a classical tree")
+        raise InvalidArgument("this command requires a game-spec source, not a classical tree")
     return loaded[1]
 
 
@@ -131,6 +132,12 @@ def _load_trunk(args, rep) -> Trunk:
     return trunk
 
 
+def _solver_failure(exc: FosgError) -> int:
+    """Report a solve-stage error on one stderr line: exit 3 for NotZeroSum, else 5."""
+    print(exc, file=sys.stderr)
+    return 3 if isinstance(exc, NotZeroSum) else 5
+
+
 def cmd_solve(args) -> int:
     try:
         spec = _require_spec(_load_game(args.game))
@@ -163,12 +170,8 @@ def cmd_solve(args) -> int:
                     handle.write(lp_dump(lp))
         gap = exploitability(rep, profile, tree=tree)
         value = game_value(rep, profile, tree=tree)[0]
-    except NotZeroSum as exc:
-        print(exc, file=sys.stderr)
-        return 3
     except FosgError as exc:
-        print(exc, file=sys.stderr)
-        return 5
+        return _solver_failure(exc)
 
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
@@ -243,15 +246,18 @@ def cmd_export(args) -> int:
     except (FosgError, ValueError, FileNotFoundError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    try:
+        dump = lp_dump(build_sequence_lp(rep)) if args.lp_dump else None
+    except FosgError as exc:
+        return _solver_failure(exc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    if args.lp_dump:
-        lp = build_sequence_lp(rep)
+    if dump is not None:
         with open(args.lp_dump, "w", encoding="utf-8") as handle:
-            handle.write(lp_dump(lp))
+            handle.write(dump)
     return 0
 
 

@@ -119,7 +119,7 @@ def subgame_histories(rep: ExtensiveFormRep, anchor: int, method: str,
             m for key, cell in rep.public_sets.items() if _extends(key, anchor_pub)
             for m in cell)
 
-    raise ValueError(f"unknown method {method!r}")
+    raise InvalidArgument(f"unknown method {method!r}")
 
 
 def closed_under_infosets(rep: ExtensiveFormRep, histories: FrozenSet[int]) -> bool:

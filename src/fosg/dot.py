@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from .errors import InvalidArgument
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep
 
 VIEWS = ("history", "infoset", "public")
@@ -100,5 +101,8 @@ def export_view(rep: ExtensiveFormRep, view: str) -> str:
     if view == "public":
         return public_dot(rep)
     if view.startswith("infoset:"):
-        return infoset_dot(rep, int(view.split(":", 1)[1]))
-    raise ValueError(f"unknown view {view!r}")
+        player = view.split(":", 1)[1]
+        if player in {str(p) for p in rep.players}:
+            return infoset_dot(rep, int(player))
+    raise InvalidArgument(f"unknown view {view!r}: use history, public or infoset:<player> "
+                          f"with a player among {list(rep.players)}")

@@ -172,6 +172,22 @@ class LPSolution:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
 
 
+def _equality_matrix(lp: SequenceLP) -> np.ndarray:
+    """The constraint matrix of ``solve_zero_sum_lp``'s standard form."""
+    e_mat, f_mat = lp.e_matrix, lp.f_matrix
+    k, n1 = e_mat.shape
+    n2 = f_mat.shape[1]
+    rows_f = f_mat.shape[0]
+    a_eq = np.zeros((rows_f + n1, 2 * k + n2 + n1))
+    a_eq[:rows_f, 2 * k:2 * k + n2] = f_mat
+    block = slice(rows_f, rows_f + n1)
+    a_eq[block, 0:k] = e_mat.T
+    a_eq[block, k:2 * k] = -e_mat.T
+    a_eq[block, 2 * k:2 * k + n2] = -lp.payoff
+    a_eq[block, 2 * k + n2:] = -np.eye(n1)
+    return a_eq
+
+
 def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
     """Solve min e.u over Fy = f, E.T u - A y >= 0, y >= 0.
 
@@ -184,29 +200,20 @@ def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
     where k counts rows of E. The minimizing plan y is read from the primal
     solution, the maximizing plan x from the duals of the second row block.
     """
-    a = lp.payoff
     e_mat, e_vec = lp.e_matrix, lp.e_vector
-    f_mat, f_vec = lp.f_matrix, lp.f_vector
     k = e_mat.shape[0]
     n1 = e_mat.shape[1]
-    n2 = f_mat.shape[1]
-
-    cols = 2 * k + n2 + n1
-    rows_f = f_mat.shape[0]
-    a_eq = np.zeros((rows_f + n1, cols))
+    n2 = lp.f_matrix.shape[1]
+    rows_f = lp.f_matrix.shape[0]
     b_eq = np.zeros(rows_f + n1)
-    a_eq[:rows_f, 2 * k:2 * k + n2] = f_mat
-    b_eq[:rows_f] = f_vec
-    block = slice(rows_f, rows_f + n1)
-    a_eq[block, 0:k] = e_mat.T
-    a_eq[block, k:2 * k] = -e_mat.T
-    a_eq[block, 2 * k:2 * k + n2] = -a
-    a_eq[block, 2 * k + n2:] = -np.eye(n1)
-    c = np.zeros(cols)
+    b_eq[:rows_f] = lp.f_vector
+    c = np.zeros(2 * k + n2 + n1)
     c[0:k] = e_vec
     c[k:2 * k] = -e_vec
 
-    result = solve_standard_form(c, a_eq, b_eq)
+    # The matrix is passed unnamed, so the solver holds its only reference and
+    # frees it once the tableau is built.
+    result = solve_standard_form(c, _equality_matrix(lp), b_eq)
     u = result.x[0:k] - result.x[k:2 * k]
     y = result.x[2 * k:2 * k + n2]
     x = result.duals[rows_f:rows_f + n1]

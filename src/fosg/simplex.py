@@ -9,13 +9,18 @@ The kernel works on whole arrays but applies to every entry it changes the
 same floating-point operations as a row-by-row elimination, so its pivots and
 results are bitwise those of the plain loop (kept as the reference in the
 tests). Pricing is one BLAS product over the full tableau slice: a product
-over the rows with non-zero basic cost sums in another order and gives other
-bits. A pivot skips rows whose pivot-column entry is zero and columns whose
-pivot-row entry is zero. There the plain loop subtracts a signed zero, which
-can only flip the sign of a zero entry; no comparison sees that, and the
-right-hand side, which the solution is read from, is always updated. Bland's
-rule ends only in exact arithmetic, so a solve that reaches
-``PIVOTS_PER_DIMENSION`` pivots per row and column raises ``PivotLimit``.
+over fewer rows or columns sums in another order and gives other bits. A
+pivot skips rows whose pivot-column entry is zero and columns whose pivot-row
+entry is zero. There the plain loop subtracts a signed zero, which can only
+flip the sign of a zero entry; no comparison sees that, and the right-hand
+side, which the solution is read from, is always updated. Bland's rule ends
+only in exact arithmetic, so a solve that reaches ``PIVOTS_PER_DIMENSION``
+pivots per row and column raises ``PivotLimit``.
+
+A solve holds one dense matrix of the program's size, the tableau. The
+columns of ``a`` that the duals need are kept as a sparse copy, the caller's
+``a`` is dropped once the tableau is built (it is freed there if the caller
+keeps no reference), and the tableau is dropped before the duals are solved.
 """
 
 from __future__ import annotations
@@ -49,27 +54,32 @@ def _pivot(tableau: np.ndarray, row: int, col: int, width: int) -> None:
     """Pivot on (row, col), updating the first ``width`` columns and the right-hand side."""
     pivot_row = tableau[row]
     pivot_row /= pivot_row[col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    rows = np.flatnonzero(factors)
-    cols = np.append(np.flatnonzero(pivot_row[:width]), tableau.shape[1] - 1)
+    column = tableau[:, col]
+    hit = column != 0.0
+    hit[row] = False
+    rows = hit.nonzero()[0]
+    keep = pivot_row != 0.0
+    keep[width:] = False
+    keep[-1] = True
+    cols = keep.nonzero()[0]
     values = pivot_row[cols]
     flat = tableau.reshape(-1)  # a view: the tableau is built C-contiguous
-    offsets = rows * tableau.shape[1]
-    step = max(1, _BLOCK_ENTRIES // len(cols))
+    step = _BLOCK_ENTRIES // len(cols) or 1
     for start in range(0, len(rows), step):
-        index = np.add.outer(offsets[start:start + step], cols)
-        products = np.multiply.outer(factors[rows[start:start + step]], values)
+        # A block's rows are not updated before it, so their pivot-column
+        # entries are still the elimination factors.
+        block = rows[start:start + step]
+        index = np.add.outer(block * tableau.shape[1], cols)
+        products = np.multiply.outer(column[block], values)
         np.subtract.at(flat, index.ravel(), products.ravel())
 
 
-def _leaving_row(tableau: np.ndarray, basis: List[int], col: int) -> int:
+def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
     """Ratio test with Bland's tie-break, run in row order over the eligible rows."""
-    column = tableau[:, col]
-    rows = np.flatnonzero(column > TOL)
+    rows = (column > TOL).nonzero()[0]
     if not len(rows):
         return -1
-    ratios = (tableau[rows, -1] / column[rows]).tolist()
+    ratios = (rhs[rows] / column[rows]).tolist()
     rows = rows.tolist()
     best_row, best_ratio = rows[0], ratios[0]
     for r, ratio in zip(rows[1:], ratios[1:]):
@@ -84,16 +94,18 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray,
     """Pivot until no column among the first ``width`` has a negative reduced cost.
 
     ``costs`` covers every column but the right-hand side; pricing always runs
-    over all of them, so each reduced cost comes from the same BLAS call.
+    over all of them, so each reduced cost comes from the same BLAS call. The
+    basic costs ``cb`` are kept in step with ``basis`` one entry per pivot.
     """
-    n_cols = len(costs)
+    priced = tableau[:, :len(costs)]
+    rhs = tableau[:, -1]
+    cb = costs[basis]
     while True:
-        reduced = costs - costs[basis] @ tableau[:, :n_cols]
-        negative = reduced[:width] < -TOL
+        negative = costs[:width] - (cb @ priced)[:width] < -TOL
         entering = int(negative.argmax())
         if not negative[entering]:
             return
-        row = _leaving_row(tableau, basis, entering)
+        row = _leaving_row(tableau[:, entering], rhs, basis)
         if row < 0:
             raise Unbounded(f"column {entering} unbounded")
         if len(pivots) >= budget:
@@ -102,6 +114,7 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray,
         pivots.append((entering, basis[row]))
         _pivot(tableau, row, entering, width)
         basis[row] = entering
+        cb[row] = costs[entering]
 
 
 def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexResult:
@@ -110,31 +123,35 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
     Raises Infeasible when phase one cannot reach zero, Unbounded when the
     objective has no finite minimum, and PivotLimit when the pivot budget runs
     out. Dual values are recovered from the final basis against the original
-    data.
+    data. ``a`` is left unchanged.
     """
-    a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float)
-    m, n = a.shape
+    m, n = np.shape(a)
     flip = b < 0
-    if flip.any():
-        a = a.copy()
-        a[flip] *= -1.0
     b[flip] *= -1.0
     budget = PIVOTS_PER_DIMENSION * (m + n)
 
-    # Phase 1 tableau: [A | I | b] with artificial costs.
+    # Phase 1 tableau: [A | I | b] with artificial costs, rows with b < 0 negated.
     tableau = np.zeros((m, n + m + 1))
     tableau[:, :n] = a
+    del a
+    tableau[flip, :n] *= -1.0
     tableau[np.arange(m), n + np.arange(m)] = 1.0
     tableau[:, -1] = b
-    basis = list(range(n, n + m))
-    costs1 = np.zeros(n + m)
-    costs1[n:] = 1.0
-    pivots: List[Tuple[int, int]] = []
-    _run_phase(tableau, basis, costs1, n + m, pivots, budget, phase=1)
+    # The original columns for the duals: the non-zero entries, plus every
+    # entry's sign bit so that the zeros of a column keep their sign.
+    a_rows, a_cols = tableau[:, :n].nonzero()
+    a_values = tableau[a_rows, a_cols]
+    a_signs = np.packbits(np.signbit(tableau[:, :n]), axis=0)
 
-    phase1_obj = float(costs1[basis] @ tableau[:, -1])
+    basis = list(range(n, n + m))
+    costs = np.zeros(n + m)
+    costs[n:] = 1.0
+    pivots: List[Tuple[int, int]] = []
+    _run_phase(tableau, basis, costs, n + m, pivots, budget, phase=1)
+
+    phase1_obj = float(costs[basis] @ tableau[:, -1])
     if phase1_obj > 1e-7:
         raise Infeasible(f"phase-1 objective {phase1_obj}")
 
@@ -143,32 +160,36 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
     # here on no artificial column enters, so their entries are left stale.
     for r in range(m):
         if basis[r] >= n:
-            candidates = np.flatnonzero(np.abs(tableau[r, :n]) > TOL)
+            candidates = (np.abs(tableau[r, :n]) > TOL).nonzero()[0]
             if len(candidates):
                 j = int(candidates[0])
                 pivots.append((j, basis[r]))
                 _pivot(tableau, r, j, n)
                 basis[r] = j
 
-    costs2 = np.zeros(n + m)
-    costs2[:n] = c
-    _run_phase(tableau, basis, costs2, n, pivots, budget, phase=2)
+    costs[:n] = c
+    costs[n:] = 0.0
+    _run_phase(tableau, basis, costs, n, pivots, budget, phase=2)
 
+    order = np.array(basis)
+    real = order < n
     x = np.zeros(n)
-    for r, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[r, -1]
+    x[order[real]] = tableau[real, -1]
     objective = float(c @ x)
+    del tableau
 
     # Duals y solve B^T y = c_B for the final basis columns of the original A;
     # a leftover artificial in the basis contributes its identity column at cost 0.
     basis_matrix = np.zeros((m, m))
-    for r in range(m):
-        if basis[r] < n:
-            basis_matrix[:, r] = a[:, basis[r]]
-        else:
-            basis_matrix[basis[r] - n, r] = 1.0
-    cb = np.array([c[v] if v < n else 0.0 for v in basis])
-    duals = np.linalg.solve(basis_matrix.T, cb)
+    columns = real.nonzero()[0]
+    signs = np.unpackbits(a_signs[:, order[real]], axis=0, count=m)
+    basis_matrix[:, columns] = np.where(signs, -0.0, 0.0)
+    position = np.full(n, -1)
+    position[order[real]] = columns
+    at = position[a_cols]
+    used = at >= 0
+    basis_matrix[a_rows[used], at[used]] = a_values[used]
+    basis_matrix[order[~real] - n, (~real).nonzero()[0]] = 1.0
+    duals = np.linalg.solve(basis_matrix.T, costs[order])
     duals[flip] *= -1.0
     return SimplexResult(x=x, objective=objective, duals=duals, basis=basis, pivots=pivots)

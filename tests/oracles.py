@@ -13,7 +13,7 @@ from typing import List, Tuple
 import numpy as np
 
 import fosg
-from fosg.errors import Infeasible, Unbounded
+from fosg.errors import Infeasible, PivotLimit, Unbounded
 from fosg.simplex import TOL, SimplexResult
 
 CARDS = ("J", "Q", "K")
@@ -158,7 +158,7 @@ def _reference_pivot(tableau, row, col):
             tableau[r] -= tableau[r, col] * tableau[row]
 
 
-def _reference_run_phase(tableau, basis, costs, n_cols, pivots, frozen=None):
+def _reference_run_phase(tableau, basis, costs, n_cols, pivots, phase, budget, frozen=None):
     m = tableau.shape[0]
     while True:
         # Reduced costs under the current basis.
@@ -184,13 +184,20 @@ def _reference_run_phase(tableau, basis, costs, n_cols, pivots, frozen=None):
                     best_row, best_ratio = r, ratio
         if best_row < 0:
             raise Unbounded(f"column {entering} unbounded")
+        if budget is not None and len(pivots) >= budget:
+            raise PivotLimit(f"simplex phase {phase} reached the pivot budget "
+                             f"after {len(pivots)} pivots")
         pivots.append((entering, basis[best_row]))
         _reference_pivot(tableau, best_row, entering)
         basis[best_row] = entering
 
 
-def bland_simplex_reference(c, a, b):
-    """Minimize ``c.x`` over ``a x = b, x >= 0`` with full-tableau row operations."""
+def bland_simplex_reference(c, a, b, budget=None):
+    """Minimize ``c.x`` over ``a x = b, x >= 0`` with full-tableau row operations.
+
+    With a ``budget``, a phase that would pivot once more after ``budget``
+    pivots in all raises ``PivotLimit`` with the kernel's message.
+    """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
     c = np.asarray(c, dtype=float).copy()
@@ -206,7 +213,7 @@ def bland_simplex_reference(c, a, b):
     basis = list(range(n, n + m))
     costs1 = np.concatenate([np.zeros(n), np.ones(m)])
     pivots: List[Tuple[int, int]] = []
-    _reference_run_phase(tableau, basis, costs1, n + m, pivots)
+    _reference_run_phase(tableau, basis, costs1, n + m, pivots, 1, budget)
 
     phase1_obj = float(costs1[basis] @ tableau[:, -1])
     if phase1_obj > 1e-7:
@@ -225,7 +232,8 @@ def bland_simplex_reference(c, a, b):
 
     costs2 = np.concatenate([c, np.zeros(m)])
     artificial = set(range(n, n + m))
-    _reference_run_phase(tableau, basis, costs2, n + m, pivots, frozen=artificial)
+    _reference_run_phase(tableau, basis, costs2, n + m, pivots, 2, budget,
+                         frozen=artificial)
 
     x = np.zeros(n)
     for r, var in enumerate(basis):

@@ -8,7 +8,9 @@ import pytest
 import fosg
 from fosg import simplex
 from fosg.cfr import SolverTree
-from fosg.cli import main
+from fosg.cli import _require_spec, main
+from fosg.dot import export_view
+from fosg.errors import InvalidArgument
 from fosg.io import spec_to_json
 
 
@@ -163,6 +165,37 @@ def test_export_views(capsys, tmp_path):
 def test_export_unknown_view_exits_2(capsys):
     code, _, _ = run_cli(capsys, "export", "--view", "bogus", "--game", "kuhn")
     assert code == 2
+
+
+def test_export_view_rejects_unknown_views_with_invalid_argument(kuhn_rep):
+    for view in ("bogus", "infoset:3", "infoset:x", "infoset:"):
+        with pytest.raises(InvalidArgument, match="unknown view"):
+            export_view(kuhn_rep, view)
+
+
+def test_export_lp_dump_of_a_three_player_game_exits_3_and_writes_nothing(capsys, tmp_path):
+    game = tmp_path / "three.json"
+    game.write_text(json.dumps(spec_to_json(fosg.random_fosg(0, depth=3, players=3))))
+    dot, dump = tmp_path / "history.dot", tmp_path / "game.lp"
+    code, out, err = run_cli(capsys, "export", "--view", "history", "--game", str(game),
+                             "--out", str(dot), "--lp-dump", str(dump))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "two players" in err
+    assert not dot.exists() and not dump.exists()
+
+
+def test_require_spec_rejects_a_classical_tree_with_invalid_argument():
+    loaded = ("efg", fosg.nontimeable_fixture(), None)
+    with pytest.raises(InvalidArgument, match="game-spec source"):
+        _require_spec(loaded)
+
+
+def test_inspect_classical_tree_exits_2(capsys):
+    code, out, err = run_cli(capsys, "inspect", "--game", "nontimeable")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "game-spec source" in err
 
 
 def test_export_public_tree_matches_betting_structure(capsys, tmp_path):

@@ -72,6 +72,11 @@ def test_subgame_histories_methods_agree_on_random_games(seed):
 # --- ranges ---
 
 
+def test_subgame_histories_rejects_unknown_method_with_invalid_argument(kuhn_rep):
+    with pytest.raises(InvalidArgument, match="unknown method 'bogus'"):
+        subgame_histories(kuhn_rep, 0, "bogus")
+
+
 def test_range_at_root_is_point_mass(kuhn_rep):
     profile = fosg.uniform_profile(kuhn_rep)
     rng = range_at(kuhn_rep, profile, kuhn_rep.public_keys[0])

@@ -1,13 +1,16 @@
 """Sequence enumeration, payoff matrices, constraints, and the minimax LP."""
 
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fosg
 from fosg import sequence_form, simplex
-from fosg.errors import Infeasible, InvalidPlan, PivotLimit, Unbounded
+from fosg.errors import FosgError, Infeasible, InvalidPlan, PivotLimit, Unbounded
 from fosg.sequence_form import (EMPTY, build_sequence_lp,
                                 constraint_matrices, enumerate_sequences, lp_dump,
                                 lp_profile, payoff_matrix, plan_from_policy,
@@ -345,6 +348,62 @@ def test_simplex_matches_reference_on_small_programs():
         with pytest.raises(error) as got:
             solve_standard_form(c, a, b)
         assert str(got.value) == str(expected.value)
+
+
+# Few distinct entries make ties in the ratio test and degenerate pivots common;
+# both zeros are there because a zero's sign bit reaches the duals.
+_ENTRIES = st.sampled_from((-2.0, -1.0, -0.5, -0.0, 0.0, 0.0, 0.5, 1.0, 2.0))
+
+
+@st.composite
+def _small_programs(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    a = np.array(draw(st.lists(_ENTRIES, min_size=m * n, max_size=m * n))).reshape(m, n)
+    if draw(st.booleans()):  # b = a x for some x >= 0, so the program is feasible
+        x = draw(st.lists(st.sampled_from((0.0, 0.0, 1.0, 2.0)), min_size=n, max_size=n))
+        b = a @ np.array(x)
+    else:
+        b = np.array(draw(st.lists(st.sampled_from((-2.0, -1.0, 0.0, 1.0, 3.0)),
+                                   min_size=m, max_size=m)))
+    c = np.array(draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    return c, a, b
+
+
+def _outcome(solve, c, a, b, **kwargs):
+    try:
+        result = solve(c, a, b, **kwargs)
+    except (FosgError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return (result.pivots, result.basis,
+            *(_bits(getattr(result, name)) for name in ("x", "duals", "objective")))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_small_programs())
+def test_simplex_matches_reference_on_generated_programs(program):
+    c, a, b = program
+    before = _bits(a)
+    budget = simplex.PIVOTS_PER_DIMENSION * sum(a.shape)
+    expected = _outcome(oracles.bland_simplex_reference, c, a, b, budget=budget)
+    assert _outcome(solve_standard_form, c, a, b) == expected
+    assert _bits(a) == before
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="older interpreters keep a call's arguments alive in the caller")
+@pytest.mark.parametrize("seed", [0, 3])
+def test_lp_solve_holds_one_dense_matrix(seed):
+    lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=6))
+    rows = lp.f_matrix.shape[0] + lp.e_matrix.shape[1]
+    cols = 2 * lp.e_matrix.shape[0] + lp.f_matrix.shape[1] + lp.e_matrix.shape[1]
+    tableau_bytes = rows * (cols + rows + 1) * 8
+    tracemalloc.start()
+    try:
+        solve_zero_sum_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * tableau_bytes
 
 
 def test_simplex_stops_at_the_pivot_budget(kuhn_rep, monkeypatch):
