@@ -527,6 +527,8 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
         raise InvalidArgument("iterations must be >= 1")
     if mode not in ("simultaneous", "alternating"):
         raise InvalidArgument(f"unknown mode {mode!r}")
+    if trace_stride < 0:
+        raise InvalidArgument("trace stride must be >= 0")
     tree = tree or SolverTree(game)
     state = CfrState(tree)
     trace: List[TracePoint] = []

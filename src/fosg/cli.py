@@ -2,11 +2,12 @@
 
 Subcommands: ``inspect`` (validate and report counts), ``solve`` (cfr, cfrd,
 or lp), ``timing`` (check or pad a classical tree), ``export`` (DOT views and
-LP dumps). Exit codes: 0 success, 2 bad arguments or a validation or load
-failure, 3 solver precondition failure (also for ``export --lp-dump``: a
-game that is not two-player), 4 timing precondition failure, 5 the
-solver failed (an infeasible or unbounded LP, a used-up pivot budget, or any
-other fosg error raised while solving).
+LP dumps). Exit codes: 0 success, 2 bad arguments, a validation or load
+failure, or an output file that cannot be written (checked before any work
+starts, and again when writing), 3 solver precondition failure (also for
+``export --lp-dump``: a game that is not two-player), 4 timing precondition
+failure, 5 the solver failed (an infeasible or unbounded LP, a used-up pivot
+budget, or any other fosg error raised while solving).
 """
 
 from __future__ import annotations
@@ -82,11 +83,39 @@ def _policy_json(profile) -> dict:
     }
 
 
+class _Unwritable(Exception):
+    """An output file cannot be written; ``main`` reports it with exit 2."""
+
+
+# The options that name files a command writes.
+OUTPUT_OPTIONS = ("out", "trace", "lp_dump")
+
+
+def _unwritable_reason(path: str) -> Optional[str]:
+    """Why ``path`` cannot be opened for writing, or None when it looks writable."""
+    if os.path.isdir(path):
+        return "is a directory"
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return "no such directory"
+    if not os.access(directory, os.W_OK) or (
+            os.path.exists(path) and not os.access(path, os.W_OK)):
+        return "permission denied"
+    return None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(doc: dict, path: Optional[str]) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(path, text)
     else:
         sys.stdout.write(text)
 
@@ -166,16 +195,14 @@ def cmd_solve(args) -> int:
             profile = lp_profile(rep, solution, lp)
             trace = []
             if args.lp_dump:
-                with open(args.lp_dump, "w", encoding="utf-8") as handle:
-                    handle.write(lp_dump(lp))
+                _write_text(args.lp_dump, lp_dump(lp))
         gap = exploitability(rep, profile, tree=tree)
         value = game_value(rep, profile, tree=tree)[0]
     except FosgError as exc:
         return _solver_failure(exc)
 
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_csv(trace))
+        _write_text(args.trace, trace_to_csv(trace))
     result_doc = {
         "schema": SCHEMA,
         "method": args.method,
@@ -231,9 +258,7 @@ def cmd_timing(args) -> int:
         "bound": len(efg.nodes) ** 2,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(efg_to_json(padded), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_text(args.out, json.dumps(efg_to_json(padded), indent=2, sort_keys=True) + "\n")
     _emit(report, None)
     return 0
 
@@ -251,24 +276,29 @@ def cmd_export(args) -> int:
     except FosgError as exc:
         return _solver_failure(exc)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     if dump is not None:
-        with open(args.lp_dump, "w", encoding="utf-8") as handle:
-            handle.write(dump)
+        _write_text(args.lp_dump, dump)
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    """An argparse type for integers of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trunk-depth", type=_positive_int, default=2)
     p_solve.add_argument("--trunk-file")
     p_solve.add_argument("--subgame-iters", type=_positive_int, default=1000)
-    p_solve.add_argument("--stride", type=int, default=0)
+    p_solve.add_argument("--stride", type=_non_negative_int, default=0)
     p_solve.add_argument("--trace")
     p_solve.add_argument("--out")
     p_solve.add_argument("--lp-dump")
@@ -319,7 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("FOSG_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    for option in OUTPUT_OPTIONS:
+        path = getattr(args, option, None)
+        reason = _unwritable_reason(path) if path else None
+        if reason is not None:
+            print(f"cannot write {path}: {reason}", file=sys.stderr)
+            return 2
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -462,6 +462,8 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
         raise InvalidArgument("iterations must be >= 1")
     if subgame_budget < 1:
         raise InvalidArgument("subgame budget must be >= 1")
+    if trace_stride < 0:
+        raise InvalidArgument("trace stride must be >= 0")
     rep = _as_rep(game)
     trunk.validate(rep)
     tree = tree or SolverTree(rep)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cfr import PolicyProfile
 from .errors import ImperfectRecall, InvalidPlan, NotZeroSum
-from .simplex import solve_standard_form
+from .simplex import solve_tableau
 from .unroll import CHANCE_ACTOR, ExtensiveFormRep, check_perfect_recall
 
 EMPTY = ("∅",)
@@ -172,20 +172,29 @@ class LPSolution:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _equality_matrix(lp: SequenceLP) -> np.ndarray:
-    """The constraint matrix of ``solve_zero_sum_lp``'s standard form."""
+def _zero_sum_tableau(lp: SequenceLP) -> np.ndarray:
+    """The simplex tableau ``[a | 0 | b]`` of ``solve_zero_sum_lp``'s standard form.
+
+    Every block is written straight into the tableau. The slack block is
+    ``-I`` with negative zeros off the diagonal, bit for bit ``-np.eye``, since
+    a zero's sign reaches the duals.
+    """
     e_mat, f_mat = lp.e_matrix, lp.f_matrix
     k, n1 = e_mat.shape
     n2 = f_mat.shape[1]
     rows_f = f_mat.shape[0]
-    a_eq = np.zeros((rows_f + n1, 2 * k + n2 + n1))
-    a_eq[:rows_f, 2 * k:2 * k + n2] = f_mat
-    block = slice(rows_f, rows_f + n1)
-    a_eq[block, 0:k] = e_mat.T
-    a_eq[block, k:2 * k] = -e_mat.T
-    a_eq[block, 2 * k:2 * k + n2] = -lp.payoff
-    a_eq[block, 2 * k + n2:] = -np.eye(n1)
-    return a_eq
+    m, n = rows_f + n1, 2 * k + n2 + n1
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:rows_f, 2 * k:2 * k + n2] = f_mat
+    tableau[:rows_f, -1] = lp.f_vector
+    block = tableau[rows_f:]
+    block[:, 0:k] = e_mat.T
+    np.negative(e_mat.T, out=block[:, k:2 * k])
+    np.negative(lp.payoff, out=block[:, 2 * k:2 * k + n2])
+    slack = block[:, 2 * k + n2:n]
+    slack.fill(-0.0)
+    slack[np.arange(n1), np.arange(n1)] = -1.0
+    return tableau
 
 
 def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
@@ -205,15 +214,13 @@ def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
     n1 = e_mat.shape[1]
     n2 = lp.f_matrix.shape[1]
     rows_f = lp.f_matrix.shape[0]
-    b_eq = np.zeros(rows_f + n1)
-    b_eq[:rows_f] = lp.f_vector
     c = np.zeros(2 * k + n2 + n1)
     c[0:k] = e_vec
     c[k:2 * k] = -e_vec
 
-    # The matrix is passed unnamed, so the solver holds its only reference and
-    # frees it once the tableau is built.
-    result = solve_standard_form(c, _equality_matrix(lp), b_eq)
+    # The tableau is passed unnamed, so the solver holds its only reference
+    # and frees it before solving for the duals.
+    result = solve_tableau(c, _zero_sum_tableau(lp))
     u = result.x[0:k] - result.x[k:2 * k]
     y = result.x[2 * k:2 * k + n2]
     x = result.duals[rows_f:rows_f + n1]

@@ -18,9 +18,10 @@ only in exact arithmetic, so a solve that reaches ``PIVOTS_PER_DIMENSION``
 pivots per row and column raises ``PivotLimit``.
 
 A solve holds one dense matrix of the program's size, the tableau. The
-columns of ``a`` that the duals need are kept as a sparse copy, the caller's
-``a`` is dropped once the tableau is built (it is freed there if the caller
-keeps no reference), and the tableau is dropped before the duals are solved.
+columns of ``a`` that the duals need are kept as a sparse copy, and the
+tableau is dropped before the duals are solved. ``solve_standard_form``
+copies ``a`` into a new tableau; ``solve_tableau`` takes one its caller has
+filled in place, so the program never exists as a separate matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import Infeasible, PivotLimit, Unbounded
+from .errors import Infeasible, InvalidArgument, PivotLimit, Unbounded
 
 TOL = 1e-9
 
@@ -50,7 +51,32 @@ class SimplexResult:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, width: int) -> None:
+class _BlockBuffers:
+    """The index and product buffers of the elimination blocks, kept for one solve.
+
+    Fresh buffers per pivot were a new mapping per block whenever a block
+    outgrew the allocator's threshold for mapping memory, and every page of
+    each was faulted in again (about a million faults on the first large solve
+    of a process). The buffers grow to the largest block seen, and no further,
+    so they add nothing to the peak of a solve.
+    """
+
+    def __init__(self) -> None:
+        self.index = np.empty(0, dtype=np.intp)
+        self.products = np.empty(0)
+
+    def blocks(self, rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+        size = rows * cols
+        if size > len(self.products):
+            del self.index, self.products  # free the old pair before the new one exists
+            self.index = np.empty(size, dtype=np.intp)
+            self.products = np.empty(size)
+        return (self.index[:size].reshape(rows, cols),
+                self.products[:size].reshape(rows, cols))
+
+
+def _pivot(tableau: np.ndarray, row: int, col: int, width: int,
+           buffers: _BlockBuffers) -> None:
     """Pivot on (row, col), updating the first ``width`` columns and the right-hand side."""
     pivot_row = tableau[row]
     pivot_row /= pivot_row[col]
@@ -69,9 +95,10 @@ def _pivot(tableau: np.ndarray, row: int, col: int, width: int) -> None:
         # A block's rows are not updated before it, so their pivot-column
         # entries are still the elimination factors.
         block = rows[start:start + step]
-        index = np.add.outer(block * tableau.shape[1], cols)
-        products = np.multiply.outer(column[block], values)
-        np.subtract.at(flat, index.ravel(), products.ravel())
+        index, products = buffers.blocks(len(block), len(cols))
+        np.add.outer(block * tableau.shape[1], cols, out=index)
+        np.multiply.outer(column[block], values, out=products)
+        np.subtract.at(flat, index.reshape(-1), products.reshape(-1))
 
 
 def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
@@ -89,8 +116,9 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
     return best_row
 
 
-def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray,
-               width: int, pivots: List[Tuple[int, int]], budget: int, phase: int) -> None:
+def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, width: int,
+               pivots: List[Tuple[int, int]], budget: int, phase: int,
+               buffers: _BlockBuffers) -> None:
     """Pivot until no column among the first ``width`` has a negative reduced cost.
 
     ``costs`` covers every column but the right-hand side; pricing always runs
@@ -112,7 +140,7 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray,
             raise PivotLimit(f"simplex phase {phase} reached the pivot budget "
                              f"after {len(pivots)} pivots")
         pivots.append((entering, basis[row]))
-        _pivot(tableau, row, entering, width)
+        _pivot(tableau, row, entering, width, buffers)
         basis[row] = entering
         cb[row] = costs[entering]
 
@@ -125,20 +153,37 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
     out. Dual values are recovered from the final basis against the original
     data. ``a`` is left unchanged.
     """
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
+    # The tableau is passed unnamed, so the kernel holds its only reference.
+    return solve_tableau(np.asarray(c, dtype=float), _standard_tableau(a, b))
+
+
+def _standard_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, n = np.shape(a)
-    flip = b < 0
-    b[flip] *= -1.0
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:, :n] = a
+    tableau[:, -1] = b
+    return tableau
+
+
+def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
+    """``solve_standard_form`` on a program already laid out as its tableau.
+
+    ``tableau`` is the C-contiguous m × (n + m + 1) float64 array
+    ``[a | 0 | b]``. The solve overwrites it and frees it before the duals
+    are solved when the caller passes it unnamed (on CPython 3.11+ the callee
+    then holds its only reference).
+    """
+    if tableau.dtype != np.float64 or not tableau.flags.c_contiguous:
+        raise InvalidArgument("the tableau must be a C-contiguous float64 array")
+    m = tableau.shape[0]
+    n = tableau.shape[1] - m - 1
     budget = PIVOTS_PER_DIMENSION * (m + n)
 
     # Phase 1 tableau: [A | I | b] with artificial costs, rows with b < 0 negated.
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:, :n] = a
-    del a
+    flip = tableau[:, -1] < 0
     tableau[flip, :n] *= -1.0
+    tableau[flip, -1] *= -1.0
     tableau[np.arange(m), n + np.arange(m)] = 1.0
-    tableau[:, -1] = b
     # The original columns for the duals: the non-zero entries, plus every
     # entry's sign bit so that the zeros of a column keep their sign.
     a_rows, a_cols = tableau[:, :n].nonzero()
@@ -149,7 +194,8 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
     costs = np.zeros(n + m)
     costs[n:] = 1.0
     pivots: List[Tuple[int, int]] = []
-    _run_phase(tableau, basis, costs, n + m, pivots, budget, phase=1)
+    buffers = _BlockBuffers()
+    _run_phase(tableau, basis, costs, n + m, pivots, budget, 1, buffers)
 
     phase1_obj = float(costs[basis] @ tableau[:, -1])
     if phase1_obj > 1e-7:
@@ -164,19 +210,19 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
             if len(candidates):
                 j = int(candidates[0])
                 pivots.append((j, basis[r]))
-                _pivot(tableau, r, j, n)
+                _pivot(tableau, r, j, n, buffers)
                 basis[r] = j
 
     costs[:n] = c
     costs[n:] = 0.0
-    _run_phase(tableau, basis, costs, n, pivots, budget, phase=2)
+    _run_phase(tableau, basis, costs, n, pivots, budget, 2, buffers)
 
     order = np.array(basis)
     real = order < n
     x = np.zeros(n)
     x[order[real]] = tableau[real, -1]
     objective = float(c @ x)
-    del tableau
+    del tableau, buffers
 
     # Duals y solve B^T y = c_B for the final basis columns of the original A;
     # a leftover artificial in the basis contributes its identity column at cost 0.

@@ -10,24 +10,27 @@ both directions and back into the tabular game model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DepthExceeded, ImperfectRecall, NotOneTimeable, NotSerial,
                      OutcomeDependentReward, ThickPublicSets)
 from .model import (EMPTY_PUBLIC, NOOP, FactoredObservation, GameSpec, InfoKey,
-                    JointKey, advance_keys, is_serial, merge_chance)
+                    JointKey, is_serial, merge_chance)
 
 CHANCE_ACTOR = 0
 TERMINAL_ACTOR = -1
 
 
-@dataclass
+@dataclass(slots=True)
 class HistoryNode:
     """One history of the unrolled game.
 
     ``actor`` is a player index, 0 for chance, -1 for terminal nodes.
     ``cumulative_reward`` is the running reward vector along the history and
-    doubles as the utility vector at terminals.
+    doubles as the utility vector at terminals. ``unroll`` gives every node of
+    one world state the same ``actions`` tuple and ``chance_dist`` dict, and
+    every terminal node of a tree the same empty ``children`` dict.
     """
 
     id: int
@@ -83,7 +86,7 @@ class ExtensiveFormRep:
         return self.nodes[self.infosets[player][key][0]].actions
 
 
-@dataclass
+@dataclass(slots=True)
 class EfgNode:
     """One node of a classical game tree; ``utilities`` is set at leaves only."""
 
@@ -126,14 +129,28 @@ class ClassicalEFG:
         return out
 
 
+# One outgoing edge of a world state: (label, successor, reward, observation,
+# appendix ids). ``reward`` is None when it is all zeros, so the child keeps
+# its parent's reward tuple; the ids name what each partition's key gains.
+_Edge = Tuple[str, str, Optional[Tuple[float, ...]], FactoredObservation, Tuple[int, ...]]
+_Step = Tuple[Tuple[str, ...], Optional[Dict[str, float]], List[_Edge]]
+
+
 def unroll(spec: GameSpec, depth_bound: int = 64) -> ExtensiveFormRep:
     """Materialize the full reachable tree of a serial game.
 
     Nodes are numbered in breadth-first order. Information partitions group
     nodes by identical action-observation sequences, the public partition by
     identical public-observation sequences. Raises NotSerial for
-    simultaneous-move input and DepthExceeded when a non-terminal node sits at
-    ``depth_bound``.
+    simultaneous-move input, DepthExceeded when a non-terminal node sits at
+    ``depth_bound``, and ValueError when an infoset mixes the owner's decision
+    nodes with other nodes or with other legal action sets.
+
+    The game's tables are read once per world state through a step table:
+    a state's actor when its first node is created, its edges when its first
+    node is expanded, so a lookup error surfaces at the same node as in a walk
+    that reads them per node. All members of one cell share one key tuple,
+    built from interned elements.
     """
     if spec.has_chance_actor:
         spec = merge_chance(spec)
@@ -141,112 +158,189 @@ def unroll(spec: GameSpec, depth_bound: int = 64) -> ExtensiveFormRep:
         raise NotSerial("unroll requires a serial game; call serialize() first")
 
     nplayers = spec.num_players
-    nodes: List[HistoryNode] = []
-    keys: Dict[int, List[InfoKey]] = {p: [] for p in spec.players}
-    pub_keys: List[Tuple[Hashable, ...]] = []
+    actors: Dict[str, int] = {}
+    steps: Dict[str, _Step] = {}
+    interned: Dict[Hashable, Hashable] = {}
+    appendix_ids: Dict[Tuple[Hashable, ...], int] = {}
+    appendices: List[Tuple[Hashable, ...]] = []
 
     def actor_of(state: str) -> int:
-        if spec.is_terminal(state):
-            return TERMINAL_ACTOR
-        players = spec.active_players(state)
-        return players[0] if players else CHANCE_ACTOR
+        actor = actors.get(state)
+        if actor is None:
+            if spec.is_terminal(state):
+                actor = TERMINAL_ACTOR
+            else:
+                players = spec.active_players(state)
+                actor = players[0] if players else CHANCE_ACTOR
+            actors[state] = actor
+        return actor
 
-    root = HistoryNode(id=0, parent=None, incoming_action=None, world_state=spec.initial_state,
-                       actor=actor_of(spec.initial_state), depth=0,
-                       cumulative_reward=tuple(0.0 for _ in spec.players))
-    nodes.append(root)
-    for p in spec.players:
-        keys[p].append(())
-    pub_keys.append(())
+    def appendix(*elements: Hashable) -> int:
+        items = tuple(interned.setdefault(el, el) for el in elements)
+        aid = appendix_ids.get(items)
+        if aid is None:
+            aid = appendix_ids[items] = len(appendices)
+            appendices.append(items)
+        return aid
 
+    def expand(state: str, actor: int) -> _Step:
+        if actor == CHANCE_ACTOR:
+            joint = spec.noop_joint(state)
+            dist = spec.transitions[(state, joint)]
+            # Zero-probability outcomes are kept only when observable, so
+            # subgames built over a support-shrinking range keep their shape.
+            successors = [s for s in sorted(dist)
+                          if dist[s] > 0 or (state, joint, s) in spec.observations]
+            actions = tuple(successors)
+            chance_dist = {succ: dist[succ] for succ in successors}
+            outcomes = [(succ, succ, joint) for succ in successors]
+        else:
+            actions = spec.legal_actions[(state, actor)]
+            chance_dist = None
+            outcomes = []
+            for a in actions:
+                j = spec.joint_for(state, {actor: a})
+                dist = spec.transitions[(state, j)]
+                (succ,) = [s for s, p in dist.items() if p > 0]
+                outcomes.append((a, succ, j))
+        edges = []
+        for label, succ, joint in outcomes:
+            reward = spec.rewards[(state, joint)]
+            obs = spec.observations[(state, joint, succ)]
+            ids = []
+            for p in spec.players:
+                seen = ("o", obs.private[p - 1], obs.public)
+                if p == actor and label != NOOP:
+                    ids.append(appendix(("a", label), seen))
+                else:
+                    ids.append(appendix(seen))
+            ids.append(appendix(obs.public))
+            # A zero reward adds nothing: the running sums never hold -0.0.
+            if len(reward) == nplayers and not any(reward):
+                reward = None
+            edges.append((label, succ, reward, obs, tuple(ids)))
+        return actions, chance_dist, edges
+
+    # Terminal nodes are never expanded; they share one empty children dict.
+    no_children: Dict[str, int] = {}
+    root_actor = actor_of(spec.initial_state)
+    nodes = [HistoryNode(0, None, None, spec.initial_state, root_actor, 0,
+                         tuple(0.0 for _ in spec.players))]
+    # Per partition, the players' and then the public one, each node's key
+    # and the cells in order of first appearance. A cell is named by its
+    # first member (its representative), so naming one allocates nothing. A
+    # player's infoset must hold only the player's decision nodes or none, and
+    # those with one legal action set: offences are recorded as (player,
+    # representative), and the first in that order is raised once the tree is
+    # built.
+    nparts = nplayers + 1
+    node_keys: List[List[Tuple[Hashable, ...]]] = [[()] for _ in range(nparts)]
+    partitions: List[Dict[Tuple[Hashable, ...], Tuple[int, ...]]] = [
+        {(): (0,)} for _ in range(nparts)]
+    mixed: List[Tuple[int, int]] = []
+    unequal: List[Tuple[int, int]] = []
+
+    # Every step appends one observation to every key, so all members of a
+    # cell sit at one depth, and a level's cells are complete once the level
+    # above it is expanded.
     frontier = [0]
+    frontier_cells = [[0] for _ in range(nparts)]
     while frontier:
         next_frontier: List[int] = []
-        for nid in frontier:
+        next_cells: List[List[int]] = [[] for _ in range(nparts)]
+        # The child cell reached from a parent cell by an appendix, per
+        # partition, as links[q][appendix id][parent cell].
+        links: List[Dict[int, Dict[int, int]]] = [{} for _ in range(nparts)]
+        for pos, nid in enumerate(frontier):
             node = nodes[nid]
-            state = node.world_state
-            if node.actor == TERMINAL_ACTOR:
+            actor = node.actor
+            if actor == TERMINAL_ACTOR:
                 continue
             if node.depth >= depth_bound:
-                raise DepthExceeded(f"non-terminal node at depth {depth_bound} (state {state!r})")
-            if node.actor == CHANCE_ACTOR:
-                joint = spec.noop_joint(state)
-                dist = spec.transitions[(state, joint)]
-                # Zero-probability outcomes are kept only when observable, so
-                # subgames built over a support-shrinking range keep their shape.
-                successors = [s for s in sorted(dist)
-                              if dist[s] > 0 or (state, joint, s) in spec.observations]
-                node.actions = tuple(successors)
-                node.chance_dist = {succ: dist[succ] for succ in successors}
-                assignment: Mapping[int, str] = {}
-                outcomes = [(succ, succ) for succ in successors]
-            else:
-                player = node.actor
-                acts = spec.legal_actions[(state, player)]
-                node.actions = acts
-                joint = None
-                outcomes = []
-                for a in acts:
-                    j = spec.joint_for(state, {player: a})
-                    dist = spec.transitions[(state, j)]
-                    (succ,) = [s for s, p in dist.items() if p > 0]
-                    outcomes.append((a, succ))
-            for label, succ in outcomes:
-                if node.actor == CHANCE_ACTOR:
-                    j = spec.noop_joint(state)
-                    assignment = {}
-                else:
-                    j = spec.joint_for(state, {node.actor: label})
-                    assignment = {node.actor: label}
-                reward = spec.rewards[(state, j)]
-                obs = spec.observations[(state, j, succ)]
-                child = HistoryNode(
-                    id=len(nodes), parent=nid, incoming_action=label, world_state=succ,
-                    actor=actor_of(succ), depth=node.depth + 1,
-                    cumulative_reward=tuple(c + r for c, r in zip(node.cumulative_reward, reward)),
-                    incoming_obs=obs)
-                nodes.append(child)
-                node.children[label] = child.id
-                parent_keys = tuple(keys[p][nid] for p in spec.players)
-                advanced = advance_keys(nplayers, parent_keys, assignment, obs)
-                for p in spec.players:
-                    keys[p].append(advanced[p - 1])
-                pub_keys.append(pub_keys[nid] + (obs.public,))
-                next_frontier.append(child.id)
-        frontier = next_frontier
+                raise DepthExceeded(
+                    f"non-terminal node at depth {depth_bound} (state {node.world_state!r})")
+            step = steps.get(node.world_state)
+            if step is None:
+                step = steps[node.world_state] = expand(node.world_state, actor)
+            actions, chance_dist, edges = step
+            node.actions = actions
+            node.chance_dist = chance_dist
+            parents = [cells[pos] for cells in frontier_cells]
+            if actor != CHANCE_ACTOR:
+                # The representative came first in this level, so it is expanded.
+                representative = nodes[parents[actor - 1]]
+                if representative.actions is not actions and representative.actions != actions:
+                    unequal.append((actor, representative.id))
+            depth = node.depth + 1
+            base = node.cumulative_reward
+            children = node.children
+            for label, succ, reward, obs, ids in edges:
+                cid = len(nodes)
+                child_actor = actor_of(succ)
+                cumulative = base if reward is None else tuple(map(add, base, reward))
+                nodes.append(HistoryNode(
+                    cid, nid, label, succ, child_actor, depth, cumulative, (), None,
+                    no_children if child_actor == TERMINAL_ACTOR else {}, obs))
+                children[label] = cid
+                for q, aid in enumerate(ids):
+                    parent = parents[q]
+                    by_parent = links[q].get(aid)
+                    if by_parent is None:
+                        by_parent = links[q][aid] = {}
+                    cell = by_parent.get(parent)
+                    keys = node_keys[q]
+                    if cell is None:
+                        cell = by_parent[parent] = cid
+                        keys.append(keys[parent] + appendices[aid])
+                    else:
+                        keys.append(keys[cell])
+                        if (nodes[cell].actor == q + 1) != (child_actor == q + 1):
+                            mixed.append((q + 1, cell))
+                    next_cells[q].append(cell)
+                next_frontier.append(cid)
+        del links
+        singletons = [(nid,) for nid in next_frontier]
+        for q in range(nparts):
+            _add_level(next_frontier, singletons, next_cells[q], node_keys[q], partitions[q])
+        frontier, frontier_cells = next_frontier, next_cells
 
-    infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]] = {}
-    for p in spec.players:
-        cells: Dict[Hashable, List[int]] = {}
-        for n in nodes:
-            cells.setdefault(keys[p][n.id], []).append(n.id)
-        infosets[p] = {k: tuple(v) for k, v in cells.items()}
-    public_sets: Dict[Hashable, List[int]] = {}
-    for n in nodes:
-        public_sets.setdefault(pub_keys[n.id], []).append(n.id)
+    if mixed or unequal:
+        player, cell = min(mixed + unequal)
+        key = node_keys[player - 1][cell]
+        if (player, cell) in mixed:
+            raise ValueError(f"infoset {key!r} of player {player} mixes acting and non-acting nodes")
+        raise ValueError(f"infoset {key!r} of player {player} mixes legal action sets")
 
-    rep = ExtensiveFormRep(
+    return ExtensiveFormRep(
         num_players=nplayers,
         nodes=nodes,
-        infostate_keys={p: list(keys[p]) for p in spec.players},
-        infosets=infosets,
-        public_keys=list(pub_keys),
-        public_sets={k: tuple(v) for k, v in public_sets.items()},
+        infostate_keys={p: node_keys[p - 1] for p in spec.players},
+        infosets={p: partitions[p - 1] for p in spec.players},
+        public_keys=node_keys[nplayers],
+        public_sets=partitions[nplayers],
     )
-    _check_acting_homogeneity(rep)
-    return rep
 
 
-def _check_acting_homogeneity(rep: ExtensiveFormRep) -> None:
-    for p in rep.players:
-        for key, members in rep.infosets[p].items():
-            actors = {rep.nodes[m].actor for m in members}
-            if p in actors and len(actors) > 1:
-                raise ValueError(f"infoset {key!r} of player {p} mixes acting and non-acting nodes")
-            if p in actors:
-                action_sets = {rep.nodes[m].actions for m in members}
-                if len(action_sets) > 1:
-                    raise ValueError(f"infoset {key!r} of player {p} mixes legal action sets")
+def _add_level(level: List[int], singletons: List[Tuple[int]], cells: List[int],
+               node_keys: List[Tuple[Hashable, ...]],
+               partition: Dict[Tuple[Hashable, ...], Tuple[int, ...]]) -> None:
+    """Add one level's cells of a partition, in order of first appearance.
+
+    ``level`` holds the level's node ids, which are consecutive,
+    ``singletons`` their ``(nid,)`` tuples and ``cells`` the first member of
+    each one's cell. A one-member cell takes its tuple from ``singletons``, so
+    all partitions share it.
+    """
+    if cells == level:
+        partition.update(zip(map(node_keys.__getitem__, level), singletons))
+        return
+    groups: Dict[int, List[int]] = {}
+    for nid, cell in zip(level, cells):
+        groups.setdefault(cell, []).append(nid)
+    first = level[0]
+    for cell, group in groups.items():
+        partition[node_keys[cell]] = (tuple(group) if len(group) > 1
+                                      else singletons[cell - first])
 
 
 def thick_public_set_witness(rep: ExtensiveFormRep) -> Optional[Tuple[int, int]]:
@@ -331,23 +425,27 @@ def forget_nonacting(rep: ExtensiveFormRep) -> ClassicalEFG:
     """Drop the public partition and restrict each partition to the owner's decision nodes.
 
     Counting the public sets on each node's root path yields an exact unit-step
-    timing of the result, so the output is always 1-timeable.
+    timing of the result, so the output is always 1-timeable. The result
+    shares ``rep``'s node containers (``actions``, ``chance_dist``,
+    ``children``) and the member tuples of infosets made of decision nodes
+    only; neither side may be changed in place.
     """
     nodes = [
-        EfgNode(id=n.id, name=f"n{n.id}", parent=n.parent, incoming_action=n.incoming_action,
-                actor=n.actor, depth=n.depth, actions=n.actions,
-                chance_dist=dict(n.chance_dist) if n.chance_dist else None,
-                children=dict(n.children),
-                utilities=n.cumulative_reward if n.actor == TERMINAL_ACTOR else None)
+        EfgNode(n.id, f"n{n.id}", n.parent, n.incoming_action, n.actor, n.depth, n.actions,
+                n.chance_dist or None, n.children,
+                n.cumulative_reward if n.actor == TERMINAL_ACTOR else None)
         for n in rep.nodes
     ]
+    actors = [n.actor for n in rep.nodes]
     infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]] = {}
     for p in rep.players:
         cells = {}
         for key, members in rep.infosets[p].items():
-            acting = tuple(m for m in members if rep.nodes[m].actor == p)
-            if acting:
-                cells[key] = acting
+            acting = [m for m in members if actors[m] == p]
+            if len(acting) == len(members):
+                cells[key] = members
+            elif acting:
+                cells[key] = tuple(acting)
         infosets[p] = cells
     return ClassicalEFG(num_players=rep.num_players, nodes=nodes, infosets=infosets)
 

@@ -1,20 +1,24 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive: plain enumeration over terminals,
-exhaustive search over pure policies, a hand-rolled Kuhn settlement, and the
+exhaustive search over pure policies, a hand-rolled Kuhn settlement, the
 row-by-row Bland's-rule simplex the vectorized kernel must match pivot for
-pivot. None of it shares code with the solvers it cross-checks.
+pivot, and the per-node unroller the step-table one must match node for node.
+None of it shares code with the solvers it cross-checks.
 """
 
 import dataclasses
 import itertools
-from typing import List, Tuple
+from typing import Dict, Hashable, List, Mapping, Tuple
 
 import numpy as np
 
 import fosg
-from fosg.errors import Infeasible, PivotLimit, Unbounded
+from fosg.errors import DepthExceeded, Infeasible, NotSerial, PivotLimit, Unbounded
+from fosg.model import GameSpec, InfoKey, advance_keys, is_serial, merge_chance
 from fosg.simplex import TOL, SimplexResult
+from fosg.unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode,
+                         ExtensiveFormRep, HistoryNode)
 
 CARDS = ("J", "Q", "K")
 KUHN_LINES = ("kk", "kbf", "kbc", "bf", "bc")
@@ -269,3 +273,159 @@ def highs_game_value(lp):
     if result.status != 0:
         raise RuntimeError(f"HiGHS failed: {result.message}")
     return result.fun
+
+
+# --- the per-node unroller, one table lookup per node ---
+
+
+def unroll_reference(spec: GameSpec, depth_bound: int = 64) -> ExtensiveFormRep:
+    """The per-node unroller the step-table ``fosg.unroll`` replaced, verbatim.
+
+    Materializes the full reachable tree of a serial game.
+
+    Nodes are numbered in breadth-first order. Information partitions group
+    nodes by identical action-observation sequences, the public partition by
+    identical public-observation sequences. Raises NotSerial for
+    simultaneous-move input and DepthExceeded when a non-terminal node sits at
+    ``depth_bound``.
+    """
+    if spec.has_chance_actor:
+        spec = merge_chance(spec)
+    if not is_serial(spec):
+        raise NotSerial("unroll requires a serial game; call serialize() first")
+
+    nplayers = spec.num_players
+    nodes: List[HistoryNode] = []
+    keys: Dict[int, List[InfoKey]] = {p: [] for p in spec.players}
+    pub_keys: List[Tuple[Hashable, ...]] = []
+
+    def actor_of(state: str) -> int:
+        if spec.is_terminal(state):
+            return TERMINAL_ACTOR
+        players = spec.active_players(state)
+        return players[0] if players else CHANCE_ACTOR
+
+    root = HistoryNode(id=0, parent=None, incoming_action=None, world_state=spec.initial_state,
+                       actor=actor_of(spec.initial_state), depth=0,
+                       cumulative_reward=tuple(0.0 for _ in spec.players))
+    nodes.append(root)
+    for p in spec.players:
+        keys[p].append(())
+    pub_keys.append(())
+
+    frontier = [0]
+    while frontier:
+        next_frontier: List[int] = []
+        for nid in frontier:
+            node = nodes[nid]
+            state = node.world_state
+            if node.actor == TERMINAL_ACTOR:
+                continue
+            if node.depth >= depth_bound:
+                raise DepthExceeded(f"non-terminal node at depth {depth_bound} (state {state!r})")
+            if node.actor == CHANCE_ACTOR:
+                joint = spec.noop_joint(state)
+                dist = spec.transitions[(state, joint)]
+                # Zero-probability outcomes are kept only when observable, so
+                # subgames built over a support-shrinking range keep their shape.
+                successors = [s for s in sorted(dist)
+                              if dist[s] > 0 or (state, joint, s) in spec.observations]
+                node.actions = tuple(successors)
+                node.chance_dist = {succ: dist[succ] for succ in successors}
+                assignment: Mapping[int, str] = {}
+                outcomes = [(succ, succ) for succ in successors]
+            else:
+                player = node.actor
+                acts = spec.legal_actions[(state, player)]
+                node.actions = acts
+                joint = None
+                outcomes = []
+                for a in acts:
+                    j = spec.joint_for(state, {player: a})
+                    dist = spec.transitions[(state, j)]
+                    (succ,) = [s for s, p in dist.items() if p > 0]
+                    outcomes.append((a, succ))
+            for label, succ in outcomes:
+                if node.actor == CHANCE_ACTOR:
+                    j = spec.noop_joint(state)
+                    assignment = {}
+                else:
+                    j = spec.joint_for(state, {node.actor: label})
+                    assignment = {node.actor: label}
+                reward = spec.rewards[(state, j)]
+                obs = spec.observations[(state, j, succ)]
+                child = HistoryNode(
+                    id=len(nodes), parent=nid, incoming_action=label, world_state=succ,
+                    actor=actor_of(succ), depth=node.depth + 1,
+                    cumulative_reward=tuple(c + r for c, r in zip(node.cumulative_reward, reward)),
+                    incoming_obs=obs)
+                nodes.append(child)
+                node.children[label] = child.id
+                parent_keys = tuple(keys[p][nid] for p in spec.players)
+                advanced = advance_keys(nplayers, parent_keys, assignment, obs)
+                for p in spec.players:
+                    keys[p].append(advanced[p - 1])
+                pub_keys.append(pub_keys[nid] + (obs.public,))
+                next_frontier.append(child.id)
+        frontier = next_frontier
+
+    infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]] = {}
+    for p in spec.players:
+        cells: Dict[Hashable, List[int]] = {}
+        for n in nodes:
+            cells.setdefault(keys[p][n.id], []).append(n.id)
+        infosets[p] = {k: tuple(v) for k, v in cells.items()}
+    public_sets: Dict[Hashable, List[int]] = {}
+    for n in nodes:
+        public_sets.setdefault(pub_keys[n.id], []).append(n.id)
+
+    rep = ExtensiveFormRep(
+        num_players=nplayers,
+        nodes=nodes,
+        infostate_keys={p: list(keys[p]) for p in spec.players},
+        infosets=infosets,
+        public_keys=list(pub_keys),
+        public_sets={k: tuple(v) for k, v in public_sets.items()},
+    )
+    _check_acting_homogeneity(rep)
+    return rep
+
+
+def _check_acting_homogeneity(rep: ExtensiveFormRep) -> None:
+    for p in rep.players:
+        for key, members in rep.infosets[p].items():
+            actors = {rep.nodes[m].actor for m in members}
+            if p in actors and len(actors) > 1:
+                raise ValueError(f"infoset {key!r} of player {p} mixes acting and non-acting nodes")
+            if p in actors:
+                action_sets = {rep.nodes[m].actions for m in members}
+                if len(action_sets) > 1:
+                    raise ValueError(f"infoset {key!r} of player {p} mixes legal action sets")
+
+
+def forget_nonacting_reference(rep: ExtensiveFormRep) -> ClassicalEFG:
+    """``fosg.forget_nonacting`` before it shared containers with ``rep``, verbatim.
+
+    Drops the public partition and restricts each partition to the owner's
+    decision nodes.
+
+    Counting the public sets on each node's root path yields an exact unit-step
+    timing of the result, so the output is always 1-timeable.
+    """
+    nodes = [
+        EfgNode(id=n.id, name=f"n{n.id}", parent=n.parent, incoming_action=n.incoming_action,
+                actor=n.actor, depth=n.depth, actions=n.actions,
+                chance_dist=dict(n.chance_dist) if n.chance_dist else None,
+                children=dict(n.children),
+                utilities=n.cumulative_reward if n.actor == TERMINAL_ACTOR else None)
+        for n in rep.nodes
+    ]
+    infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]] = {}
+    for p in rep.players:
+        cells = {}
+        for key, members in rep.infosets[p].items():
+            acting = tuple(m for m in members if rep.nodes[m].actor == p)
+            if acting:
+                cells[key] = acting
+        infosets[p] = cells
+    return ClassicalEFG(num_players=rep.num_players, nodes=nodes, infosets=infosets)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import fosg
-from fosg import simplex
+from fosg import cli, simplex
 from fosg.cfr import SolverTree
 from fosg.cli import _require_spec, main
 from fosg.dot import export_view
@@ -295,6 +295,66 @@ def test_solve_lp_exits_5_when_the_pivot_budget_runs_out(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert len(err.splitlines()) == 1 and "pivot budget" in err
+
+
+@pytest.mark.parametrize("method", ["cfr", "cfrd"])
+def test_solve_rejects_a_negative_stride_with_exit_2(capsys, method):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", method, "--game", "kuhn", "--iters", "3", "--stride", "-1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "must be a non-negative integer" in errors[0]
+
+
+UNWRITABLE = "{unwritable}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("inspect", "--game", "kuhn", "--out", UNWRITABLE),
+    ("solve", "cfr", "--game", "kuhn", "--iters", "3", "--out", UNWRITABLE),
+    ("solve", "cfr", "--game", "kuhn", "--iters", "3", "--stride", "1", "--trace", UNWRITABLE),
+    ("solve", "lp", "--game", "kuhn", "--lp-dump", UNWRITABLE),
+    ("export", "--view", "history", "--game", "kuhn", "--out", UNWRITABLE),
+    ("export", "--view", "history", "--game", "kuhn", "--lp-dump", UNWRITABLE),
+    ("timing", "check", "--game", "kuhn", "--out", UNWRITABLE),
+])
+@pytest.mark.parametrize("target, reason", [
+    ("absent/result", "no such directory"),
+    (".", "is a directory"),
+])
+def test_unwritable_output_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv,
+                                                    target, reason):
+    path = str(tmp_path / target)
+
+    def no_work(*_args):
+        raise AssertionError("the command started working")
+
+    monkeypatch.setattr(cli, "_load_game", no_work)
+    code, out, err = run_cli(capsys, *(path if arg == UNWRITABLE else arg for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"cannot write {path}: {reason}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "cfr", "--iters", "3", "--out"),
+    ("solve", "cfr", "--iters", "3", "--stride", "1", "--trace"),
+    ("solve", "lp", "--lp-dump"),
+])
+def test_output_that_fails_when_written_exits_2(capsys, monkeypatch, tmp_path, argv):
+    directory = tmp_path / "vanishing"
+    directory.mkdir()
+    path = directory / "result"
+
+    def remove_directory_then_build(rep):
+        directory.rmdir()
+        return SolverTree(rep)
+
+    monkeypatch.setattr(cli, "SolverTree", remove_directory_then_build)
+    code, _, err = run_cli(capsys, argv[0], argv[1], "--game", "kuhn", *argv[2:], str(path))
+    assert code == 2
+    assert err.splitlines() == [f"cannot write {path}: No such file or directory"]
 
 
 def test_fixture_catalog_metadata():

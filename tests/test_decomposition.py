@@ -262,6 +262,8 @@ def test_solvers_reject_bad_arguments_with_invalid_argument(kuhn_rep):
         lambda: fosg.cfr_run(kuhn_rep, 5, mode="sideways"),
         lambda: cfr_d(kuhn_rep, trunk, 0, subgame_budget=5),
         lambda: cfr_d(kuhn_rep, trunk, 5, subgame_budget=0),
+        lambda: fosg.cfr_run(kuhn_rep, 5, trace_stride=-1),
+        lambda: cfr_d(kuhn_rep, trunk, 5, subgame_budget=5, trace_stride=-1),
         lambda: complete_profile(kuhn_rep, trunk, fosg.uniform_profile(kuhn_rep), 0),
         lambda: Trunk.from_depth(kuhn_rep, 0),
         lambda: Trunk(keys=frozenset({("dealt",)})).validate(kuhn_rep),

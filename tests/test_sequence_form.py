@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import fosg
 from fosg import sequence_form, simplex
-from fosg.errors import FosgError, Infeasible, InvalidPlan, PivotLimit, Unbounded
+from fosg.errors import (FosgError, Infeasible, InvalidArgument, InvalidPlan, PivotLimit,
+                         Unbounded)
 from fosg.sequence_form import (EMPTY, build_sequence_lp,
                                 constraint_matrices, enumerate_sequences, lp_dump,
                                 lp_profile, payoff_matrix, plan_from_policy,
                                 realization_to_behavioral, solve_zero_sum_lp,
                                 terminal_sequences, validate_plan)
-from fosg.simplex import solve_standard_form
+from fosg.simplex import solve_standard_form, solve_tableau
 
 import oracles
 from test_cfr import random_profile
@@ -296,11 +297,13 @@ class _StandardForm(Exception):
 
 
 def _standard_form(lp, monkeypatch):
-    def capture(c, a, b):
-        raise _StandardForm(c, a, b)
+    """The (c, a, b) of the tableau ``solve_zero_sum_lp`` hands to the kernel."""
+    def capture(c, tableau):
+        n = tableau.shape[1] - tableau.shape[0] - 1
+        raise _StandardForm(c, tableau[:, :n].copy(), tableau[:, -1].copy())
 
     with monkeypatch.context() as patch:
-        patch.setattr(sequence_form, "solve_standard_form", capture)
+        patch.setattr(sequence_form, "solve_tableau", capture)
         with pytest.raises(_StandardForm) as captured:
             solve_zero_sum_lp(lp)
     return captured.value.args
@@ -319,17 +322,46 @@ def _assert_matches_reference(c, a, b):
     for name in ("x", "duals", "objective"):
         assert _bits(getattr(result, name)) == _bits(getattr(expected, name)), name
     assert _bits(a) == before
+    return expected
+
+
+def _assert_lp_matches_reference(lp, monkeypatch):
+    """Both kernel entries against the reference: the copied program and the in-place tableau."""
+    expected = _assert_matches_reference(*_standard_form(lp, monkeypatch))
+    solution = solve_zero_sum_lp(lp)
+    k, n1 = lp.e_matrix.shape
+    rows_f, n2 = lp.f_matrix.shape
+    assert solution.pivots == expected.pivots
+    assert _bits(solution.game_value) == _bits(expected.objective)
+    assert _bits(solution.col_plan) == _bits(expected.x[2 * k:2 * k + n2])
+    assert _bits(solution.row_plan) == _bits(expected.duals[rows_f:rows_f + n1])
+
+
+@pytest.mark.parametrize("game", ["kuhn", (6, 2)])
+def test_zero_sum_tableau_holds_the_standard_form_bit_for_bit(game, kuhn_rep, monkeypatch):
+    # The sign of every zero counts: the slack block is -I, zeros included.
+    rep = kuhn_rep if game == "kuhn" else oracles.zero_sum_random_rep(game[1], depth=game[0])
+    lp = build_sequence_lp(rep)
+    c, a, b = _standard_form(lp, monkeypatch)
+    k, n1 = lp.e_matrix.shape
+    rows_f, n2 = lp.f_matrix.shape
+    expected = np.block([
+        [np.zeros((rows_f, 2 * k)), lp.f_matrix, np.zeros((rows_f, n1))],
+        [lp.e_matrix.T, -lp.e_matrix.T, -lp.payoff, -np.eye(n1)]])
+    assert _bits(a) == _bits(expected)
+    assert _bits(b) == _bits(np.concatenate([lp.f_vector, np.zeros(n1)]))
+    assert _bits(c) == _bits(np.concatenate([lp.e_vector, -lp.e_vector, np.zeros(n2 + n1)]))
 
 
 def test_simplex_matches_reference_on_fixture_lps(kuhn_rep, pennies_rep, monkeypatch):
     for rep in (kuhn_rep, pennies_rep):
-        _assert_matches_reference(*_standard_form(build_sequence_lp(rep), monkeypatch))
+        _assert_lp_matches_reference(build_sequence_lp(rep), monkeypatch)
 
 
 @pytest.mark.parametrize("depth, seed", RANDOM_LP_GAMES)
 def test_simplex_matches_reference_on_random_games(depth, seed, monkeypatch):
     lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=depth))
-    _assert_matches_reference(*_standard_form(lp, monkeypatch))
+    _assert_lp_matches_reference(lp, monkeypatch)
 
 
 def test_simplex_matches_reference_on_small_programs():
@@ -404,6 +436,37 @@ def test_lp_solve_holds_one_dense_matrix(seed):
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * tableau_bytes
+
+
+@pytest.mark.parametrize("seed", [2, 6])
+def test_lp_tableau_is_built_in_place(seed, monkeypatch):
+    # With no pivot budget the solve stops before its first pivot, so the
+    # peak is what building the tableau and the duals' sparse copy take.
+    lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=7))
+    rows = lp.f_matrix.shape[0] + lp.e_matrix.shape[1]
+    cols = 2 * lp.e_matrix.shape[0] + lp.f_matrix.shape[1] + lp.e_matrix.shape[1]
+    tableau_bytes = rows * (cols + rows + 1) * 8
+    monkeypatch.setattr(simplex, "PIVOTS_PER_DIMENSION", 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PivotLimit):
+            solve_zero_sum_lp(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * tableau_bytes
+
+
+def test_solve_tableau_rejects_a_tableau_it_cannot_pivot_in_place():
+    # The elimination writes through a flat view, which only a C-contiguous
+    # float64 array gives.
+    tableau = np.zeros((2, 6))
+    tableau[:, :3] = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+    tableau[:, -1] = 1.0
+    for bad in (np.asfortranarray(tableau), tableau.astype(np.float32)):
+        with pytest.raises(InvalidArgument):
+            solve_tableau(np.ones(3), bad)
+    assert solve_tableau(np.ones(3), tableau).objective == pytest.approx(1.0)
 
 
 def test_simplex_stops_at_the_pivot_budget(kuhn_rep, monkeypatch):

@@ -1,12 +1,15 @@
 """Unrolling, partitions, forgetting maps, lifting, and augmentation."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
 from fosg.errors import DepthExceeded, ImperfectRecall, NotSerial, ThickPublicSets
 from fosg.model import NOOP, public_projection
-from fosg.unroll import (posg_policy, reps_isomorphic, same_classical,
+from fosg.unroll import (HistoryNode, posg_policy, reps_isomorphic, same_classical,
                          thick_public_set_witness)
 
 import oracles
@@ -51,6 +54,149 @@ def test_unroll_depth_exceeded():
         })
     with pytest.raises(DepthExceeded):
         fosg.unroll(spec, depth_bound=16)
+
+
+# --- the step-table unroller against the per-node reference ---
+
+
+def _ordered(value):
+    """``value`` with every dict turned into its item list, so order counts."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_ordered(v) for v in value]
+    return value
+
+
+def _assert_same_rep(got, expected):
+    assert got.num_players == expected.num_players
+    assert len(got.nodes) == len(expected.nodes)
+    fields = [f.name for f in dataclasses.fields(HistoryNode)]
+    for a, b in zip(got.nodes, expected.nodes):
+        for name in fields:
+            va, vb = getattr(a, name), getattr(b, name)
+            assert type(va) is type(vb) and _ordered(va) == _ordered(vb), (a.id, name)
+    for name in ("infostate_keys", "infosets", "public_keys", "public_sets"):
+        assert _ordered(getattr(got, name)) == _ordered(getattr(expected, name)), name
+
+
+def _reference_spec(name):
+    """A catalog spec by name, or ``random-d<depth>-s<seed>`` / ``simultaneous-...``."""
+    catalog = fosg.games.catalog()
+    if name in catalog:
+        return catalog[name].build()
+    kind, depth, seed = name.split("-")
+    return fosg.random_fosg(int(seed[1:]), depth=int(depth[1:]), serial=kind == "random")
+
+
+# The catalog specs (one with an explicit chance actor, one simultaneous),
+# serial random games at depths 2-9, and simultaneous random games.
+CATALOG_SPECS = ["kuhn", "kuhn_chance", "matching_pennies"]
+SIMULTANEOUS_SPECS = [f"simultaneous-d4-s{seed}" for seed in range(3)]
+REFERENCE_SPECS = (CATALOG_SPECS + [f"random-d{depth}-s{seed}"
+                                    for depth in range(2, 10) for seed in range(3)]
+                   + SIMULTANEOUS_SPECS)
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPECS)
+def test_unroll_matches_the_per_node_reference(name):
+    serial = fosg.serialize(_reference_spec(name))
+    expected = oracles.unroll_reference(serial)
+    got = fosg.unroll(serial)
+    _assert_same_rep(got, expected)
+    # One key tuple per cell, shared by all of its members.
+    for key, members in got.public_sets.items():
+        assert all(got.public_keys[m] is key for m in members)
+    for player, cells in got.infosets.items():
+        for key, members in cells.items():
+            assert all(got.infostate_keys[player][m] is key for m in members)
+
+
+@pytest.mark.parametrize("name", CATALOG_SPECS + ["random-d5-s0", "random-d9-s1"]
+                         + SIMULTANEOUS_SPECS)
+def test_forget_nonacting_matches_the_reference(name):
+    serial = fosg.serialize(_reference_spec(name))
+    got = fosg.forget_nonacting(fosg.unroll(serial))
+    expected = oracles.forget_nonacting_reference(oracles.unroll_reference(serial))
+    assert same_classical(got, expected)
+    assert [n.name for n in got.nodes] == [n.name for n in expected.nodes]
+    assert _ordered(got.infosets) == _ordered(expected.infosets)
+
+
+def test_unroll_raises_depth_exceeded_like_the_reference():
+    spec = fosg.serialize(fosg.random_fosg(1, depth=6))
+    for bound in range(6):
+        with pytest.raises(DepthExceeded) as expected:
+            oracles.unroll_reference(spec, depth_bound=bound)
+        with pytest.raises(DepthExceeded) as got:
+            fosg.unroll(spec, depth_bound=bound)
+        assert str(got.value) == str(expected.value)
+    _assert_same_rep(fosg.unroll(spec, depth_bound=6), oracles.unroll_reference(spec, 6))
+
+
+def test_unroll_raises_lookup_errors_like_the_reference(kuhn_spec):
+    for table in ("rewards", "observations"):
+        entries = dict(getattr(kuhn_spec, table))
+        del entries[list(entries)[len(entries) // 2]]
+        broken = dataclasses.replace(kuhn_spec, **{table: entries})
+        with pytest.raises(KeyError) as expected:
+            oracles.unroll_reference(broken)
+        with pytest.raises(KeyError) as got:
+            fosg.unroll(broken)
+        assert got.value.args == expected.value.args
+
+
+def _two_branch_spec(y_actor, y_actions):
+    """Chance picks x (player 1 moves) or y; player 1 sees the same symbol either way."""
+    noop2 = (NOOP, NOOP)
+    player_fn = {"c": frozenset(), "x": frozenset({1}), "y": frozenset(y_actor), "t": frozenset()}
+    legal = {("x", 1): ("a",)}
+    transitions = {("c", noop2): {"x": 0.5, "y": 0.5}}
+    if y_actor:
+        legal[("y", 1)] = y_actions
+        joints = [(a, NOOP) for a in y_actions]
+    else:
+        joints = [noop2]
+    for state, state_joints in (("x", [("a", NOOP)]), ("y", joints)):
+        for joint in state_joints:
+            transitions[(state, joint)] = {"t": 1.0}
+    rewards = {key: (0.0, 0.0) for key in transitions}
+    observations = {
+        (state, joint, succ): fosg.FactoredObservation(("same", succ), "pub")
+        for (state, joint), dist in transitions.items() for succ in dist}
+    return fosg.GameSpec(num_players=2, states=("c", "x", "y", "t"), initial_state="c",
+                         player_fn=player_fn, legal_actions=legal, transitions=transitions,
+                         rewards=rewards, observations=observations)
+
+
+@pytest.mark.parametrize("y_actor, y_actions, message", [
+    ((), (), "mixes acting and non-acting nodes"),
+    ((1,), ("a", "b"), "mixes legal action sets"),
+])
+def test_unroll_rejects_inhomogeneous_infosets_like_the_reference(y_actor, y_actions, message):
+    spec = _two_branch_spec(y_actor, y_actions)
+    with pytest.raises(ValueError, match=message) as expected:
+        oracles.unroll_reference(spec)
+    with pytest.raises(ValueError) as got:
+        fosg.unroll(spec)
+    assert str(got.value) == str(expected.value)
+
+
+def test_unroll_memory_per_node():
+    spec = fosg.serialize(fosg.random_fosg(2, depth=10))
+    tracemalloc.start()
+    try:
+        rep = fosg.unroll(spec)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert size <= 950 * len(rep.nodes)
+
+
+def test_nodes_take_no_ad_hoc_attributes(kuhn_rep, kuhn_efg):
+    for node in (kuhn_rep.root, kuhn_efg.root):
+        with pytest.raises(AttributeError):
+            node.note = "x"
 
 
 def test_infosets_refine_public_partition(kuhn_rep):
