@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ImperfectRecall, InvalidArgument, MissingPolicy, NotZeroSum
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep, _last_own
 
 PolicyProfile = Dict[int, Dict[Hashable, Dict[str, float]]]
 Game = Union[ExtensiveFormRep, ClassicalEFG]
@@ -126,31 +126,29 @@ class SolverTree:
         topological order of infoset precedence, whatever their depths. That
         order exists when the player has perfect recall: all members of each
         of the player's infosets follow the same latest own infoset and
-        action. Otherwise raises ``ImperfectRecall``.
+        action. Otherwise raises ``ImperfectRecall``; node ids that do not
+        list parents first raise ``InvalidArgument``.
         """
         order = self._response_orders.get(player)
         if order is not None:
             return order
-        count = len(self.kind)
-        parent: List[Optional[int]] = [None] * count
-        last_own: List[Optional[Tuple[int, int]]] = [None] * count
-        unit = list(range(count))
-        pending: Dict[int, int] = {}  # per entry: child edges whose entries are not placed yet
-        for nid, kids in enumerate(self.kids):  # parents precede children in id order
-            if kids is None:
-                continue
-            own = self.kind[nid] == KIND_DECISION and self.owner[nid] == player
-            if own:
-                unit[nid] = ~self.iset_index[nid]
-            pending[unit[nid]] = pending.get(unit[nid], 0) + len(kids)
-            for k, kid in enumerate(kids):  # (child, reward), led by the probability on chance edges
-                child = kid[-2]
-                parent[child] = nid
-                last_own[child] = (self.iset_index[nid], k) if own else last_own[nid]
+        last_own = _last_own(self.game, player)
         for s in self.isets:
             if s.owner == player and len({last_own[m] for m in s.members}) > 1:
                 raise ImperfectRecall(
                     f"player {player} has no perfect recall at infostate {s.key!r}")
+        count = len(self.kind)
+        parent: List[Optional[int]] = [None] * count
+        unit = list(range(count))
+        pending: Dict[int, int] = {}  # per entry: child edges whose entries are not placed yet
+        for nid, kids in enumerate(self.kids):
+            if kids is None:
+                continue
+            if self.kind[nid] == KIND_DECISION and self.owner[nid] == player:
+                unit[nid] = ~self.iset_index[nid]
+            pending[unit[nid]] = pending.get(unit[nid], 0) + len(kids)
+            for kid in kids:  # (child, reward), led by the probability on chance edges
+                parent[kid[-2]] = nid
         ready = [nid for nid in range(count) if self.kids[nid] is None]
         order = []
         while ready:

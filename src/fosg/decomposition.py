@@ -378,52 +378,44 @@ class CfrDResult:
 
 @dataclass
 class _Leaves:
-    """The leaf subgames below a trunk: entry histories and infosets per leaf."""
+    """The leaf subgames below a trunk, solved together as one forest.
+
+    ``entries`` and ``isets`` list every leaf's entry histories and infoset
+    indices, leaf by leaf. Leaves share no node and no infoset, so one regret
+    state walking every entry solves each leaf exactly as a state of its own
+    would.
+    """
 
     keys: List[Hashable]
-    entries: Dict[Hashable, Tuple[int, ...]]
+    entries: Tuple[int, ...]
     entry_set: FrozenSet[int]
-    isets: Dict[Hashable, List[int]]
+    isets: List[int]
 
     @staticmethod
     def below(rep: ExtensiveFormRep, tree: SolverTree, trunk: Trunk) -> "_Leaves":
         keys = trunk.leaves(rep)
-        entries = {key: rep.public_sets[key] for key in keys}
-        isets = {key: [s.index for s in tree.isets
-                       if _extends(rep.public_keys[s.members[0]], key)]
-                 for key in keys}
-        return _Leaves(keys=keys, entries=entries,
-                       entry_set=frozenset(h for members in entries.values() for h in members),
-                       isets=isets)
+        entries = tuple(h for key in keys for h in rep.public_sets[key])
+        isets = [s.index for key in keys for s in tree.isets
+                 if _extends(rep.public_keys[s.members[0]], key)]
+        return _Leaves(keys=keys, entries=entries, entry_set=frozenset(entries), isets=isets)
 
     def seeds(self, tree: SolverTree, policies: Sequence[Sequence[float]],
               ) -> Dict[int, Tuple[float, Tuple[float, ...]]]:
         """Chance and per-player reaches of every entry under the trunk policy."""
         root = {0: (1.0, (1.0,) * tree.num_players)}
         chance, player = _reach_pass(tree, policies, root, stop=self.entry_set)
-        return {h: (chance[h], tuple(reaches[h] for reaches in player))
-                for members in self.entries.values() for h in members}
+        return {h: (chance[h], tuple(reaches[h] for reaches in player)) for h in self.entries}
 
-
-@dataclass
-class _LeafSolve:
-    solved: Dict[int, List[float]]          # average policy per subgame infoset index
-    strategy_sum: Dict[int, List[float]]    # raw reach-weighted sums of the solve
-
-
-def _solve_leaf(tree: SolverTree, entries: Sequence[int],
-                seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
-                iset_indices: Sequence[int], budget: int) -> _LeafSolve:
-    """Solve one leaf subgame in place with range-substituted reaches."""
-    state = CfrState(tree)
-    for _ in range(budget):
-        state.refresh_policies(indices=iset_indices)
-        for h in entries:
-            pc, pp = seeds[h]
-            state.walk(h, pc, list(pp))
-    averages = state.average_policies()
-    return _LeafSolve(solved={idx: averages[idx] for idx in iset_indices},
-                      strategy_sum={idx: list(state.strategy_sum[idx]) for idx in iset_indices})
+    def solve(self, tree: SolverTree, seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
+              budget: int) -> CfrState:
+        """``budget`` rounds of regret matching in place, with range-substituted reaches."""
+        state = CfrState(tree)
+        for _ in range(budget):
+            state.refresh_policies(indices=self.isets)
+            for h in self.entries:
+                pc, pp = seeds[h]
+                state.walk(h, pc, list(pp))
+        return state
 
 
 def _boundary_values(tree: SolverTree, solved: Mapping[int, List[float]],
@@ -473,22 +465,20 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
 
     state = CfrState(tree)
     policy_sum = {idx: [0.0] * len(tree.isets[idx].actions) for idx in trunk_isets}
-    sub_sum = {idx: [0.0] * len(tree.isets[idx].actions)
-               for indices in leaves.isets.values() for idx in indices}
+    sub_sum = {idx: [0.0] * len(tree.isets[idx].actions) for idx in leaves.isets}
     last_solved: Dict[int, List[float]] = {}
     trace: List[TracePoint] = []
     policies_log: List[PolicyProfile] = []
     start = time.perf_counter()
 
     def solve_all(seeds) -> Dict[int, List[float]]:
-        for key in leaves.keys:
-            solve = _solve_leaf(tree, leaves.entries[key], seeds, leaves.isets[key],
-                                subgame_budget)
-            for idx, sums in solve.strategy_sum.items():
-                acc = sub_sum[idx]
-                for k in range(len(acc)):
-                    acc[k] += sums[k]
-            last_solved.update(solve.solved)
+        solve = leaves.solve(tree, seeds, subgame_budget)
+        averages = solve.average_policies()
+        for idx in leaves.isets:
+            acc, sums = sub_sum[idx], solve.strategy_sum[idx]
+            for k in range(len(acc)):
+                acc[k] += sums[k]
+            last_solved[idx] = averages[idx]
         return _boundary_values(tree, last_solved, seeds)
 
     def completed_from(trunk_avg: PolicyProfile) -> PolicyProfile:
@@ -556,11 +546,8 @@ def complete_profile(rep: ExtensiveFormRep, trunk: Trunk, trunk_profile: PolicyP
             policies[s.index] = [float(per.get(a, 0.0)) for a in s.actions]
 
     completed: PolicyProfile = {p: dict(trunk_profile.get(p, {})) for p in rep.players}
-    seeds = leaves.seeds(tree, policies)
-    for key in leaves.keys:
-        indices = leaves.isets[key]
-        solve = _solve_leaf(tree, leaves.entries[key], seeds, indices, subgame_budget)
-        for idx in indices:
-            s = tree.isets[idx]
-            completed[s.owner][s.key] = {a: solve.solved[idx][k] for k, a in enumerate(s.actions)}
+    averages = leaves.solve(tree, leaves.seeds(tree, policies), subgame_budget).average_policies()
+    for idx in leaves.isets:
+        s = tree.isets[idx]
+        completed[s.owner][s.key] = {a: averages[idx][k] for k, a in enumerate(s.actions)}
     return completed

@@ -567,7 +567,7 @@ def serial_policy(policy: "PolicyFn") -> "PolicyFn":
 
 
 # ---------------------------------------------------------------------------
-# Information-state bookkeeping shared by the evaluator and the unroller
+# Information-state bookkeeping shared by expected_utilities and acting_infostates
 
 
 def advance_keys(num_players: int, keys: Tuple[InfoKey, ...], assignment: Mapping[int, str],

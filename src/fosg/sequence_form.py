@@ -17,7 +17,7 @@ import numpy as np
 from .cfr import PolicyProfile
 from .errors import ImperfectRecall, InvalidPlan, NotZeroSum
 from .simplex import solve_tableau
-from .unroll import CHANCE_ACTOR, ExtensiveFormRep, check_perfect_recall
+from .unroll import CHANCE_ACTOR, ExtensiveFormRep, _last_own, check_perfect_recall
 
 EMPTY = ("∅",)
 
@@ -39,31 +39,25 @@ class SequenceSet:
         return len(self.sequences)
 
 
-def _last_own_sequences(rep: ExtensiveFormRep, player: int) -> List[Hashable]:
-    """Per node, the player's latest own (infostate, action) above it, or EMPTY."""
-    last: List[Hashable] = [EMPTY] * len(rep.nodes)
-    for node in rep.nodes:  # parents precede children
-        if node.parent is None:
-            continue
-        parent = rep.nodes[node.parent]
-        if parent.actor == player:
-            last[node.id] = (rep.infostate_keys[player][parent.id], node.incoming_action)
-        else:
-            last[node.id] = last[parent.id]
-    return last
+def _require_perfect_recall(rep: ExtensiveFormRep) -> None:
+    ok, witness = check_perfect_recall(rep)
+    if not ok:
+        raise ImperfectRecall(f"representation lacks perfect recall: {witness!r}")
 
 
 def enumerate_sequences(rep: ExtensiveFormRep, player: int) -> SequenceSet:
     """Build the sequence set of one player in parent-before-child order."""
+    _require_perfect_recall(rep)
     return _sequences(rep, player)[0]
 
 
 def _sequences(rep: ExtensiveFormRep, player: int) -> Tuple[SequenceSet, List[Hashable]]:
-    """The player's sequence set and, per node, their last sequence above it."""
-    ok, witness = check_perfect_recall(rep)
-    if not ok:
-        raise ImperfectRecall(f"representation lacks perfect recall: {witness!r}")
-    last = _last_own_sequences(rep, player)
+    """The player's sequence set and, per node, their last sequence above it.
+
+    The per-node list holds None where that is the empty sequence. The
+    caller checks perfect recall first.
+    """
+    last = _last_own(rep, player)
     sequences: List[Hashable] = [EMPTY]
     index: Dict[Hashable, int] = {EMPTY: 0}
     parent: List[int] = [-1]
@@ -71,7 +65,7 @@ def _sequences(rep: ExtensiveFormRep, player: int) -> Tuple[SequenceSet, List[Ha
     action: List[Optional[str]] = [None]
     rows: List[Tuple[Hashable, int, Tuple[int, ...]]] = []
     for key, members in rep.acting_infosets(player).items():
-        parent_idx = index[last[members[0]]]
+        parent_idx = index[last[members[0]] or EMPTY]
         children = []
         for a in rep.nodes[members[0]].actions:
             seq = (key, a)
@@ -89,8 +83,8 @@ def _sequences(rep: ExtensiveFormRep, player: int) -> Tuple[SequenceSet, List[Ha
 def terminal_sequences(rep: ExtensiveFormRep, seqs: SequenceSet,
                        ) -> Dict[int, int]:
     """Map each terminal node to the owner's last sequence on its path."""
-    last = _last_own_sequences(rep, seqs.owner)
-    return {n.id: seqs.index[last[n.id]] for n in rep.terminals()}
+    last = _last_own(rep, seqs.owner)
+    return {n.id: seqs.index[last[n.id] or EMPTY] for n in rep.terminals()}
 
 
 @dataclass
@@ -110,6 +104,7 @@ def payoff_matrix(rep: ExtensiveFormRep) -> np.ndarray:
     """A[s, t] sums chance reach times player 1's utility over terminals with those sequences."""
     if rep.num_players != 2:
         raise NotZeroSum("the sequence-form payoff matrix requires two players")
+    _require_perfect_recall(rep)
     return _payoff_matrix(rep, _sequences(rep, 1), _sequences(rep, 2))
 
 
@@ -127,7 +122,7 @@ def _payoff_matrix(rep: ExtensiveFormRep, row: Tuple[SequenceSet, List[Hashable]
             chance[node.id] = chance[parent.id]
     a = np.zeros((len(seqs1), len(seqs2)))
     for node in rep.terminals():
-        s, t = seqs1.index[last1[node.id]], seqs2.index[last2[node.id]]
+        s, t = seqs1.index[last1[node.id] or EMPTY], seqs2.index[last2[node.id] or EMPTY]
         a[s, t] += chance[node.id] * node.cumulative_reward[0]
     return a
 
@@ -154,6 +149,7 @@ def _constraint_matrices(seqs: SequenceSet) -> Tuple[np.ndarray, np.ndarray]:
 def build_sequence_lp(rep: ExtensiveFormRep) -> SequenceLP:
     if rep.num_players != 2:
         raise NotZeroSum("the sequence-form program requires two players")
+    _require_perfect_recall(rep)
     row, col = _sequences(rep, 1), _sequences(rep, 2)
     e_mat, e_vec = _constraint_matrices(row[0])
     f_mat, f_vec = _constraint_matrices(col[0])

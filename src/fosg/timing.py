@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidTiming
-from .unroll import ClassicalEFG, EfgNode
+from .unroll import ClassicalEFG, EfgNode, _union_find
 
 WitnessStep = Tuple  # ("edge", parent, child) | ("infoset", a, b, player, key)
 
@@ -65,24 +65,6 @@ def normalize_labels(labels: Dict[int, int]) -> Dict[int, int]:
     return {nid: rank[v] for nid, v in labels.items()}
 
 
-def _union_find(efg: ClassicalEFG) -> List[int]:
-    parent = list(range(len(efg.nodes)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for cells in efg.infosets.values():
-        for members in cells.values():
-            for other in members[1:]:
-                ra, rb = find(members[0]), find(other)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    return [find(i) for i in range(len(efg.nodes))]
-
-
 def _cell_lookup(efg: ClassicalEFG) -> Dict[int, List[Tuple[int, Hashable, Tuple[int, ...]]]]:
     by_node: Dict[int, List[Tuple[int, Hashable, Tuple[int, ...]]]] = {}
     for player, cells in efg.infosets.items():
@@ -92,11 +74,11 @@ def _cell_lookup(efg: ClassicalEFG) -> Dict[int, List[Tuple[int, Hashable, Tuple
     return by_node
 
 
-def _equality_path(efg: ClassicalEFG, start: int, goal: int) -> List[WitnessStep]:
+def _equality_path(by_node: Dict[int, List[Tuple[int, Hashable, Tuple[int, ...]]]],
+                   start: int, goal: int) -> List[WitnessStep]:
     """Connect two nodes of one collapsed class through shared infoset cells."""
     if start == goal:
         return []
-    by_node = _cell_lookup(efg)
     prev: Dict[int, Tuple[int, int, Hashable]] = {}
     seen = {start}
     queue = deque([start])
@@ -124,119 +106,102 @@ def _equality_path(efg: ClassicalEFG, start: int, goal: int) -> List[WitnessStep
 def find_exact_timing(efg: ClassicalEFG) -> Tuple[Optional[Timing], Optional[List[WitnessStep]]]:
     """Longest-path exact timing, or a constraint cycle when none exists.
 
-    Returns ``(timing, None)`` with normalized consecutive labels, or
-    ``(None, witness)`` where the witness alternates tree edges with infoset
-    equalities and closes on itself.
+    Returns ``(timing, None)``, where each label is the longest-path distance
+    of the node's class from a source class: a class at distance d > 0 has a
+    predecessor at d - 1, so the labels run from 0 with no gaps. Otherwise
+    returns ``(None, witness)`` where the witness alternates tree edges with
+    infoset equalities and closes on itself.
     """
-    roots = _union_find(efg)
-    n_nodes = len(efg.nodes)
+    nodes = efg.nodes
+    roots = _union_find(len(nodes), (
+        members for cells in efg.infosets.values() for members in cells.values()))
+    # One tree edge per pair of classes, named by its child; a class is named
+    # by its smallest node.
+    edges: Dict[int, Dict[int, int]] = {}
+    indeg = [0] * len(nodes)
+    for node in nodes:
+        if node.parent is not None:
+            targets = edges.setdefault(roots[node.parent], {})
+            sv = roots[node.id]
+            if sv not in targets:
+                targets[sv] = node.id
+                indeg[sv] += 1
 
-    edges: Dict[int, Dict[int, Tuple[int, int]]] = {}
-    for node in efg.nodes:
-        if node.parent is None:
-            continue
-        su, sv = roots[node.parent], roots[node.id]
-        if su == sv:
-            # The edge forces +1 inside a class forced equal: a minimal cycle.
-            witness: List[WitnessStep] = [("edge", node.parent, node.id)]
-            witness += _equality_path(efg, node.id, node.parent)
-            return None, witness
-        edges.setdefault(su, {}).setdefault(sv, (node.parent, node.id))
-
-    supers = sorted(set(roots))
-    indeg = {s: 0 for s in supers}
-    for su, targets in edges.items():
-        for sv in targets:
-            indeg[sv] += 1
-    queue = deque(s for s in supers if indeg[s] == 0)
-    topo: List[int] = []
-    while queue:
-        s = queue.popleft()
-        topo.append(s)
-        for sv in edges.get(s, ()):
-            indeg[sv] -= 1
-            if indeg[sv] == 0:
-                queue.append(sv)
-
-    if len(topo) < len(supers):
-        return None, _extract_cycle(efg, roots, edges)
-
-    dist = {s: 0 for s in supers}
-    for s in topo:
+    dist = [0] * len(nodes)
+    ready = [c for c, root in enumerate(roots) if root == c and indeg[c] == 0]
+    while ready:
+        s = ready.pop()
         for sv in edges.get(s, ()):
             dist[sv] = max(dist[sv], dist[s] + 1)
-    labels = normalize_labels({node.id: dist[roots[node.id]] for node in efg.nodes})
-    return Timing(labels=labels), None
+            indeg[sv] -= 1
+            if indeg[sv] == 0:
+                ready.append(sv)
+    if any(indeg):
+        return None, _cycle_witness(efg, roots, edges, indeg)
+    return Timing(labels={node.id: dist[roots[node.id]] for node in nodes}), None
 
 
-def _extract_cycle(efg: ClassicalEFG, roots: List[int],
-                   edges: Dict[int, Dict[int, Tuple[int, int]]]) -> List[WitnessStep]:
-    # Find a supernode cycle by iterative DFS, then stitch the witness chain.
-    color: Dict[int, int] = {}
-    stack_path: List[int] = []
-    cycle: Optional[List[int]] = None
+def _cycle_witness(efg: ClassicalEFG, roots: List[int], edges: Dict[int, Dict[int, int]],
+                   indeg: List[int]) -> List[WitnessStep]:
+    """The witness of a class cycle among the classes a stalled Kahn pass left over.
 
-    def dfs(start: int) -> Optional[List[int]]:
-        stack = [(start, iter(edges.get(start, ())))]
-        color[start] = 1
-        stack_path.append(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    return stack_path[stack_path.index(nxt):] + [nxt]
-                if color.get(nxt, 0) == 0:
-                    color[nxt] = 1
-                    stack_path.append(nxt)
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                stack_path.pop()
-                color[node] = 2
-        return None
+    Every left-over class has a left-over predecessor, so walking back from
+    the smallest one repeats a class, and the classes between the two visits
+    form a cycle.
+    """
+    nodes = efg.nodes
+    back: Dict[int, int] = {}  # left-over class -> child of its first left-over in-edge
+    for su, targets in edges.items():
+        if indeg[su]:
+            for sv, child in targets.items():
+                back.setdefault(sv, child)
+    walk: List[int] = []
+    visit: Dict[int, int] = {}
+    current = next(c for c, d in enumerate(indeg) if d)
+    while current not in visit:
+        visit[current] = len(walk)
+        walk.append(back[current])
+        current = roots[nodes[walk[-1]].parent]
+    cycle = walk[visit[current]:][::-1]
 
-    for s in sorted(edges):
-        if color.get(s, 0) == 0:
-            cycle = dfs(s)
-            if cycle:
-                break
-    assert cycle is not None, "collapsed graph reported cyclic but no cycle found"
-
+    by_node = _cell_lookup(efg)
+    entry = current = nodes[cycle[0]].parent
     steps: List[WitnessStep] = []
-    first_edge = edges[cycle[0]][cycle[1]]
-    entry = first_edge[0]
-    current = entry
-    for idx in range(len(cycle) - 1):
-        su, sv = cycle[idx], cycle[idx + 1]
-        parent, child = edges[su][sv]
-        steps += _equality_path(efg, current, parent)
+    for child in cycle:
+        parent = nodes[child].parent
+        steps += _equality_path(by_node, current, parent)
         steps.append(("edge", parent, child))
         current = child
-    steps += _equality_path(efg, current, entry)
+    steps += _equality_path(by_node, current, entry)
     return steps
 
 
 def verify_witness(efg: ClassicalEFG, witness: List[WitnessStep]) -> bool:
-    """Check that a witness is a genuine closed chain of violated constraints."""
+    """Check that a witness is a genuine closed chain of violated constraints.
+
+    Answers False, without raising, for an unknown step tag, a step of the
+    wrong length or a node id outside the tree.
+    """
     if not witness:
         return False
+    count = len(efg.nodes)
     edge_steps = 0
     for step in witness:
+        if not ((len(step) == 3 and step[0] == "edge") or
+                (len(step) == 5 and step[0] == "infoset")):
+            return False
+        if not all(isinstance(nid, int) and 0 <= nid < count for nid in step[1:3]):
+            return False
         if step[0] == "edge":
             _tag, parent, child = step
             if efg.nodes[child].parent != parent:
                 return False
             edge_steps += 1
-        elif step[0] == "infoset":
+        else:
             _tag, a, b, player, key = step
             members = efg.infosets.get(player, {}).get(key)
             if members is None or a not in members or b not in members:
                 return False
-        else:
-            return False
     for prev, nxt in zip(witness, witness[1:]):
         if prev[2] != nxt[1]:
             return False

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from operator import add
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import (DepthExceeded, ImperfectRecall, NotOneTimeable, NotSerial,
-                     OutcomeDependentReward, ThickPublicSets)
+from .errors import (DepthExceeded, ImperfectRecall, InvalidArgument, NotOneTimeable,
+                     NotSerial, OutcomeDependentReward, ThickPublicSets)
 from .model import (EMPTY_PUBLIC, NOOP, FactoredObservation, GameSpec, InfoKey,
                     JointKey, is_serial, merge_chance)
 
@@ -360,61 +360,96 @@ def has_thick_public_sets(rep: ExtensiveFormRep) -> bool:
     return thick_public_set_witness(rep) is not None
 
 
-def check_perfect_recall(game) -> Tuple[bool, Optional[Tuple]]:
-    """Verify that members of each infoset share the owner's action-infoset history.
+def _last_own(game, player: int) -> List[Optional[Tuple[Hashable, str]]]:
+    """Per node, the player's latest own (infoset key, action) above it, or None.
 
-    Accepts either representation. For the augmented form the history records
-    the owner's infoset at every ancestor node; for the classical form only
-    the owner's decision ancestors count. Returns (True, None) or
-    (False, (player, key, node_a, node_b)).
+    This is the player's memory of their own play, in either representation.
+    One pass in id order, which must list parents first: raises
+    InvalidArgument at a node whose parent id is not smaller than its own.
     """
-    def path_ids(nodes, nid: int) -> List[int]:
-        out = [nid]
-        node = nodes[nid]
-        while node.parent is not None:
-            out.append(node.parent)
-            node = nodes[node.parent]
-        out.reverse()
-        return out
+    keys = (game.infostate_keys[player] if isinstance(game, ExtensiveFormRep)
+            else game.infoset_of(player))
+    nodes = game.nodes
+    last: List[Optional[Tuple[Hashable, str]]] = [None] * len(nodes)
+    for node in nodes:
+        up = node.parent
+        if up is None:
+            continue
+        if up >= node.id:
+            raise InvalidArgument(
+                f"node {node.id} does not come after its parent {up}; "
+                "node ids must list parents first")
+        if nodes[up].actor == player:
+            last[node.id] = (keys[up], node.incoming_action)
+        else:
+            last[node.id] = last[up]
+    return last
 
+
+def check_perfect_recall(game) -> Tuple[bool, Optional[Tuple]]:
+    """Verify that the members of each infoset remember the same own play.
+
+    Accepts either representation and compares the members of every
+    multi-member cell one step back; by induction on depth this equals
+    comparing their whole root paths. On a classical tree the members must
+    share the owner's latest own (infoset, action) pair, and node ids must
+    list parents first (InvalidArgument otherwise). On the augmented form
+    the members' parents must share one cell of the owner and, where that
+    parent is the owner's decision, the members must follow one action from
+    it; no other member matches the root. Returns (True, None) or
+    (False, (player, key, node_a, node_b)) for two members that remember
+    differently.
+    """
     if isinstance(game, ExtensiveFormRep):
-        def trace(player: int, nid: int) -> Tuple:
-            out = []
-            path = path_ids(game.nodes, nid)
-            for idx in range(len(path) - 1):  # strict ancestors, root first
-                ancestor = game.nodes[path[idx]]
-                out.append(("I", game.infostate_keys[player][ancestor.id]))
-                if ancestor.actor == player:
-                    out.append(("a", game.nodes[path[idx + 1]].incoming_action))
-            return tuple(out)
+        nodes = game.nodes
 
-        partitions = game.infosets
+        def remembered(player: int) -> Callable[[int], Hashable]:
+            keys = game.infostate_keys[player]
+
+            def step(nid: int) -> Hashable:
+                node = nodes[nid]
+                up = node.parent
+                if up is None:
+                    return None
+                if nodes[up].actor == player:
+                    return (keys[up], node.incoming_action)
+                return (keys[up],)
+
+            return step
     elif isinstance(game, ClassicalEFG):
-        labels = {p: game.infoset_of(p) for p in game.players}
-
-        def trace(player: int, nid: int) -> Tuple:
-            out = []
-            path = path_ids(game.nodes, nid)
-            for idx in range(len(path) - 1):
-                ancestor = game.nodes[path[idx]]
-                if ancestor.actor == player:
-                    out.append(("I", labels[player][ancestor.id]))
-                    out.append(("a", game.nodes[path[idx + 1]].incoming_action))
-            return tuple(out)
-
-        partitions = game.infosets
+        def remembered(player: int) -> Callable[[int], Hashable]:
+            return _last_own(game, player).__getitem__
     else:
         raise TypeError(f"unsupported game type {type(game)!r}")
 
-    for player, cells in partitions.items():
+    for player, cells in game.infosets.items():
+        step = remembered(player)
         for key, members in cells.items():
             if len(members) < 2:
                 continue
-            reference = trace(player, members[0])
+            reference = step(members[0])
             for other in members[1:]:
-                if trace(player, other) != reference:
+                if step(other) != reference:
                     return False, (player, key, members[0], other)
     return True, None
+
+
+def _union_find(size: int, groups: Iterable[Sequence[int]]) -> List[int]:
+    """Per element of ``range(size)``, the smallest element ``groups`` join it with."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for members in groups:
+        for other in members[1:]:
+            ra, rb = find(members[0]), find(other)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(size)]
 
 
 # ---------------------------------------------------------------------------
@@ -674,16 +709,15 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
     partitions until they are disjoint. Restricting the result to acting nodes
     reproduces the input exactly.
 
-    Requires the input to be 1-timeable and have perfect recall.
+    Requires the input to be 1-timeable and have perfect recall, and its node
+    ids to list parents first (InvalidArgument otherwise).
     """
     if not is_one_timeable(efg):
         raise NotOneTimeable("classical infosets are not depth-homogeneous")
+    # The recall check also checks that node ids list parents first.
     ok, witness = check_perfect_recall(efg)
     if not ok:
         raise ImperfectRecall(f"classical tree lacks perfect recall: {witness!r}")
-    for node in efg.nodes:
-        if node.parent is not None and node.parent >= node.id:
-            raise ValueError("node ids must be topologically ordered (parents first)")
 
     labels_of = {p: efg.infoset_of(p) for p in efg.players}
     keys: Dict[int, List[Hashable]] = {}
@@ -710,30 +744,6 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
                 per_node[node.id] = ("dist", per_node[base.id], dist)
         keys[p] = per_node
 
-    # Public partition: union-find over nodes, joining every extended cell.
-    parent_uf = list(range(len(efg.nodes)))
-
-    def find(x: int) -> int:
-        while parent_uf[x] != x:
-            parent_uf[x] = parent_uf[parent_uf[x]]
-            x = parent_uf[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent_uf[max(ra, rb)] = min(ra, rb)
-
-    cell_nodes: Dict[Tuple[int, Hashable], List[int]] = {}
-    for p in efg.players:
-        for node in efg.nodes:
-            cell_nodes.setdefault((p, keys[p][node.id]), []).append(node.id)
-    for members in cell_nodes.values():
-        for other in members[1:]:
-            union(members[0], other)
-
-    pub_keys: List[Hashable] = [("pub", find(n.id)) for n in efg.nodes]
-
     nodes = [
         HistoryNode(id=n.id, parent=n.parent, incoming_action=n.incoming_action,
                     world_state=n.name, actor=n.actor, depth=n.depth,
@@ -750,6 +760,10 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
         for n in nodes:
             cells.setdefault(keys[p][n.id], []).append(n.id)
         infosets[p] = {k: tuple(v) for k, v in cells.items()}
+    # Public partition: the finest one that every extended cell lies within.
+    pub_keys: List[Hashable] = [
+        ("pub", c) for c in _union_find(len(nodes), (
+            members for cells in infosets.values() for members in cells.values()))]
     public_sets: Dict[Hashable, List[int]] = {}
     for n in nodes:
         public_sets.setdefault(pub_keys[n.id], []).append(n.id)

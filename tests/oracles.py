@@ -3,13 +3,14 @@
 Everything here is deliberately naive: plain enumeration over terminals,
 exhaustive search over pure policies, a hand-rolled Kuhn settlement, the
 row-by-row Bland's-rule simplex the vectorized kernel must match pivot for
-pivot, and the per-node unroller the step-table one must match node for node.
+pivot, the per-node unroller the step-table one must match node for node, and
+the root-path perfect-recall check the one-step rules must agree with.
 None of it shares code with the solvers it cross-checks.
 """
 
 import dataclasses
 import itertools
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -429,3 +430,65 @@ def forget_nonacting_reference(rep: ExtensiveFormRep) -> ClassicalEFG:
                 cells[key] = acting
         infosets[p] = cells
     return ClassicalEFG(num_players=rep.num_players, nodes=nodes, infosets=infosets)
+
+
+# --- the root-path perfect-recall check ---
+
+
+def check_perfect_recall_reference(game) -> Tuple[bool, Optional[Tuple]]:
+    """The path-trace ``fosg.check_perfect_recall`` the one-step rules replaced, verbatim.
+
+    Verify that members of each infoset share the owner's action-infoset history.
+
+    Accepts either representation. For the augmented form the history records
+    the owner's infoset at every ancestor node; for the classical form only
+    the owner's decision ancestors count. Returns (True, None) or
+    (False, (player, key, node_a, node_b)).
+    """
+    def path_ids(nodes, nid: int) -> List[int]:
+        out = [nid]
+        node = nodes[nid]
+        while node.parent is not None:
+            out.append(node.parent)
+            node = nodes[node.parent]
+        out.reverse()
+        return out
+
+    if isinstance(game, ExtensiveFormRep):
+        def trace(player: int, nid: int) -> Tuple:
+            out = []
+            path = path_ids(game.nodes, nid)
+            for idx in range(len(path) - 1):  # strict ancestors, root first
+                ancestor = game.nodes[path[idx]]
+                out.append(("I", game.infostate_keys[player][ancestor.id]))
+                if ancestor.actor == player:
+                    out.append(("a", game.nodes[path[idx + 1]].incoming_action))
+            return tuple(out)
+
+        partitions = game.infosets
+    elif isinstance(game, ClassicalEFG):
+        labels = {p: game.infoset_of(p) for p in game.players}
+
+        def trace(player: int, nid: int) -> Tuple:
+            out = []
+            path = path_ids(game.nodes, nid)
+            for idx in range(len(path) - 1):
+                ancestor = game.nodes[path[idx]]
+                if ancestor.actor == player:
+                    out.append(("I", labels[player][ancestor.id]))
+                    out.append(("a", game.nodes[path[idx + 1]].incoming_action))
+            return tuple(out)
+
+        partitions = game.infosets
+    else:
+        raise TypeError(f"unsupported game type {type(game)!r}")
+
+    for player, cells in partitions.items():
+        for key, members in cells.items():
+            if len(members) < 2:
+                continue
+            reference = trace(player, members[0])
+            for other in members[1:]:
+                if trace(player, other) != reference:
+                    return False, (player, key, members[0], other)
+    return True, None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
-from fosg.cfr import SolverTree, expected_values, reach_probabilities
+from fosg.cfr import CfrState, SolverTree, expected_values, reach_probabilities
 from fosg.decomposition import (PublicBeliefState, Range, Trunk, _Leaves, build_subgame, cfr_d,
                                 closed_under_infosets, complete_profile, public_subtree,
                                 range_at, subgame_histories, subgame_profile, trivial_pbs)
@@ -297,6 +297,29 @@ def test_cfrd_entry_seeds_match_path_products(kuhn_rep):
             expected_chance, expected_own = oracles.reach_by_path(rep, profile, h)
             assert chance == pytest.approx(expected_chance, abs=1e-15)
             assert own == pytest.approx(expected_own, abs=1e-15)
+
+
+def test_one_forest_solve_equals_a_solve_per_leaf(kuhn_rep):
+    # Leaves share no node and no infoset, so walking all of them with one
+    # regret state changes no bit of any leaf's regrets or strategy sums.
+    rng = random.Random(5)
+    for rep in [kuhn_rep, oracles.zero_sum_random_rep(1)]:
+        tree = SolverTree(rep)
+        leaves = _Leaves.below(rep, tree, Trunk.from_depth(rep, 2))
+        seeds = leaves.seeds(tree, tree.policies_from_profile(random_profile(rep, rng)))
+        forest = leaves.solve(tree, seeds, 7)
+        for key in leaves.keys:
+            isets = [idx for idx in leaves.isets
+                     if rep.public_keys[tree.isets[idx].members[0]][:len(key)] == key]
+            alone = CfrState(tree)
+            for _ in range(7):
+                alone.refresh_policies(indices=isets)
+                for h in rep.public_sets[key]:
+                    pc, pp = seeds[h]
+                    alone.walk(h, pc, list(pp))
+            for idx in isets:
+                assert alone.regrets[idx] == forest.regrets[idx]
+                assert alone.strategy_sum[idx] == forest.strategy_sum[idx]
 
 
 def test_cfrd_average_is_arithmetic_mean(kuhn_rep):

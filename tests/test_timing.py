@@ -18,6 +18,43 @@ def test_nontimeable_fixture_has_four_node_witness():
     assert len(witness_nodes(witness)) == 4
 
 
+def test_nontimeable_fixture_witness_is_the_figure_3_cycle():
+    _timing, witness = find_exact_timing(fosg.nontimeable_fixture())
+    assert witness == [("edge", 1, 3), ("infoset", 3, 2, 2, "I2"),
+                       ("edge", 2, 5), ("infoset", 5, 1, 1, "I1")]
+
+
+@pytest.mark.parametrize("witness", [
+    [("edge", 0, 999)],                    # child id past the last node
+    [("edge", 1, -8)],                     # node -8 would index node 3, a child of 1
+    [("infoset", 0, 1)],                   # infoset step too short
+    [("edge", 0)],                         # edge step too short
+    [("edge", 0, 1, 2)],                   # edge step too long
+    [("loop", 0, 0)],                      # unknown tag
+    [(["edge"], 1, 3)],                    # unhashable tag
+    [()],                                  # empty step
+])
+def test_verify_witness_answers_false_on_malformed_steps(witness):
+    assert verify_witness(fosg.nontimeable_fixture(), witness) is False
+
+
+def _labels_have_no_gaps(efg):
+    timing, _ = find_exact_timing(efg)
+    values = set(timing.labels.values())
+    no_gaps = values == set(range(max(values) + 1))
+    return no_gaps and normalize_labels(timing.labels) == timing.labels
+
+
+def test_timing_labels_run_from_zero_with_no_gaps():
+    for depth in (3, 4, 5, 6):
+        for seed in range(10):
+            assert _labels_have_no_gaps(fosg.random_timeable_efg(seed, depth=depth))
+    for seed in range(10):
+        assert _labels_have_no_gaps(fosg.forget_nonacting(fosg.unroll(fosg.random_fosg(seed))))
+    for n in (2, 5, 9):
+        assert _labels_have_no_gaps(fosg.padding_chain(n)[0])
+
+
 def test_nontimeable_fixture_has_perfect_recall():
     assert fosg.check_perfect_recall(fosg.nontimeable_fixture())[0]
 

@@ -1,16 +1,19 @@
 """Unrolling, partitions, forgetting maps, lifting, and augmentation."""
 
 import dataclasses
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
-from fosg.errors import DepthExceeded, ImperfectRecall, NotSerial, ThickPublicSets
+from fosg.cfr import SolverTree
+from fosg.errors import (DepthExceeded, ImperfectRecall, InvalidArgument, NotSerial,
+                         ThickPublicSets)
 from fosg.model import NOOP, public_projection
-from fosg.unroll import (HistoryNode, posg_policy, reps_isomorphic, same_classical,
-                         thick_public_set_witness)
+from fosg.unroll import (ClassicalEFG, EfgNode, ExtensiveFormRep, HistoryNode, posg_policy,
+                         reps_isomorphic, same_classical, thick_public_set_witness)
 
 import oracles
 
@@ -263,6 +266,70 @@ def test_singleton_partitions_have_perfect_recall(kuhn_rep):
     assert fosg.check_perfect_recall(rep)[0]
 
 
+def _moved_into_another_cell(seed: int) -> ExtensiveFormRep:
+    """An unrolled random game with one node moved into another cell of one player."""
+    rep = fosg.unroll(fosg.random_fosg(seed, depth=5))
+    rng = random.Random(seed)
+    player = 1 + seed % 2
+    keys = list(rep.infostate_keys[player])
+    nid = rng.randrange(1, len(keys))
+    keys[nid] = rng.choice([k for k in rep.infosets[player] if k != keys[nid]])
+    cells = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    return dataclasses.replace(
+        rep, infostate_keys={**rep.infostate_keys, player: keys},
+        infosets={**rep.infosets, player: {k: tuple(v) for k, v in cells.items()}})
+
+
+def _recall_corpus():
+    for depth in (3, 4, 5, 6):
+        for seed in range(40):
+            efg = fosg.random_timeable_efg(seed, depth=depth)
+            padded = fosg.pad_to_1_timeable(efg, fosg.find_exact_timing(efg)[0])
+            yield efg
+            yield padded
+            if oracles.check_perfect_recall_reference(padded)[0]:
+                yield fosg.augment_classical(padded)
+    for seed in range(30):
+        rep = fosg.unroll(fosg.random_fosg(seed, depth=5))
+        yield rep
+        yield fosg.forget_nonacting(rep)
+        yield _moved_into_another_cell(seed)
+    yield fosg.nontimeable_fixture()
+
+
+def test_check_perfect_recall_matches_the_reference():
+    outcomes = []
+    for game in _recall_corpus():
+        result = fosg.check_perfect_recall(game)
+        assert result == oracles.check_perfect_recall_reference(game)
+        outcomes.append(result[0])
+    assert outcomes.count(True) > 100 and outcomes.count(False) > 100
+
+
+def _out_of_order_tree() -> ClassicalEFG:
+    # Node 0 is a leaf below node 1, the root.
+    nodes = [
+        EfgNode(id=0, name="x", parent=1, incoming_action="x", actor=-1, depth=1,
+                utilities=(0.0,)),
+        EfgNode(id=1, name="r", parent=None, incoming_action=None, actor=1, depth=0,
+                actions=("x", "y"), children={"x": 0, "y": 2}),
+        EfgNode(id=2, name="y", parent=1, incoming_action="y", actor=-1, depth=1,
+                utilities=(0.0,)),
+    ]
+    return ClassicalEFG(num_players=1, nodes=nodes, infosets={1: {"I": (1,)}})
+
+
+def test_node_ids_must_list_parents_first():
+    efg = _out_of_order_tree()
+    for call in (fosg.check_perfect_recall, fosg.augment_classical,
+                 lambda game: SolverTree(game).response_order(1)):
+        with pytest.raises(InvalidArgument, match="parents first"):
+            call(efg)
+    assert issubclass(InvalidArgument, ValueError)
+
+
 # --- forget_nonacting ---
 
 
@@ -400,8 +467,6 @@ def test_augment_round_trip_random(seed):
 def test_augment_perfect_information_gives_singletons():
     # One player, singleton infosets, no chance: every history is identified
     # by the owner's own action record, so all extended cells stay singletons.
-    from fosg.unroll import ClassicalEFG, EfgNode
-
     nodes = [EfgNode(id=0, name="r", parent=None, incoming_action=None, actor=1, depth=0)]
 
     def add(name, parent, action, actor, utilities=None):
