@@ -91,6 +91,9 @@ class SolverTree:
                      edge_reward(nodes[node.children[label]]))
                     for label in node.actions)
             else:
+                if self.iset_index[node.id] < 0:
+                    raise InvalidArgument(f"decision node {node.id} of player {node.actor} "
+                                          "belongs to no infoset of its actor")
                 self.kind[node.id] = KIND_DECISION
                 self.owner[node.id] = node.actor
                 self.kids[node.id] = tuple(

@@ -147,6 +147,7 @@ def validate(spec: GameSpec, depth_bound: int = 64) -> List[Violation]:
     """
     out: List[Violation] = []
     add = out.append
+    inf = float("inf")
 
     if spec.initial_state not in spec.states:
         add(Violation("unknown-initial-state", f"initial state {spec.initial_state!r} not in state set"))
@@ -208,6 +209,9 @@ def validate(spec: GameSpec, depth_bound: int = 64) -> List[Violation]:
             add(Violation("missing-reward", "no reward vector for transition", state, joint))
         elif len(spec.rewards[(state, joint)]) != spec.num_players:
             add(Violation("bad-reward-length", "reward vector length differs from player count", state, joint))
+        elif not all(-inf < r < inf for r in spec.rewards[(state, joint)]):  # NaN fails both
+            add(Violation("non-finite-reward", f"non-finite reward {spec.rewards[(state, joint)]!r}",
+                          state, joint))
         for succ, prob in dist.items():
             if prob > 0 and (state, joint, succ) not in spec.observations:
                 add(Violation("undefined-observation", f"no observation for supported successor {succ!r}",

@@ -169,18 +169,19 @@ class LPSolution:
 
 
 def _zero_sum_tableau(lp: SequenceLP) -> np.ndarray:
-    """The simplex tableau ``[a | 0 | b]`` of ``solve_zero_sum_lp``'s standard form.
+    """The simplex tableau ``[a | b]`` of ``solve_zero_sum_lp``'s standard form.
 
-    Every block is written straight into the tableau. The slack block is
-    ``-I`` with negative zeros off the diagonal, bit for bit ``-np.eye``, since
-    a zero's sign reaches the duals.
+    Every block is written straight into the tableau; the artificial
+    variables take no columns. The slack block is ``-I`` with negative zeros
+    off the diagonal, bit for bit ``-np.eye``, since a zero's sign reaches the
+    duals.
     """
     e_mat, f_mat = lp.e_matrix, lp.f_matrix
     k, n1 = e_mat.shape
     n2 = f_mat.shape[1]
     rows_f = f_mat.shape[0]
     m, n = rows_f + n1, 2 * k + n2 + n1
-    tableau = np.zeros((m, n + m + 1))
+    tableau = np.zeros((m, n + 1))
     tableau[:rows_f, 2 * k:2 * k + n2] = f_mat
     tableau[:rows_f, -1] = lp.f_vector
     block = tableau[rows_f:]

@@ -1,21 +1,27 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Solves min c.x subject to A x = b, x >= 0. Phase one drives artificial
-variables out of the basis; phase two optimizes the real objective. Bland's
+Solves min c.x subject to A x = b, x >= 0, on the m × (n + 1) tableau
+``[a | b]``. Phase one drives the artificial variables out of the basis. They
+have no columns: artificial ``n + r`` starts basic in row r as the unit
+column of that row, at cost 1, and once it leaves the basis it never
+re-enters (the textbook rule). Phase one still reaches zero on a feasible
+program, since any feasible x meets the constraints with every artificial,
+dropped or basic, at zero. Phase two optimizes the real objective. Bland's
 rule (lowest eligible index enters, lowest-index basic variable leaves on
 ratio ties) makes the pivot sequence a deterministic function of the input.
 
 The kernel works on whole arrays but applies to every entry it changes the
 same floating-point operations as a row-by-row elimination, so its pivots and
 results are bitwise those of the plain loop (kept as the reference in the
-tests). Pricing is one BLAS product over the full tableau slice: a product
-over fewer rows or columns sums in another order and gives other bits. A
-pivot skips rows whose pivot-column entry is zero and columns whose pivot-row
-entry is zero. There the plain loop subtracts a signed zero, which can only
-flip the sign of a zero entry; no comparison sees that, and the right-hand
-side, which the solution is read from, is always updated. Bland's rule ends
-only in exact arithmetic, so a solve that reaches ``PIVOTS_PER_DIMENSION``
-pivots per row and column raises ``PivotLimit``.
+tests). Pricing is one BLAS product over the n real columns; the reference's
+product spans its artificial columns too, and both took the same pivots on
+every benchmark and test program. A pivot skips rows whose pivot-column entry
+is zero and columns whose pivot-row entry is zero. There the plain loop
+subtracts a signed zero, which can only flip the sign of a zero entry; no
+comparison sees that, and the right-hand side, which the solution is read
+from, is always updated. Bland's rule ends only in exact arithmetic, so a
+solve that reaches ``PIVOTS_PER_DIMENSION`` pivots per row and column raises
+``PivotLimit``.
 
 A solve holds one dense matrix of the program's size, the tableau. The
 columns of ``a`` that the duals need are kept as a sparse copy, and the
@@ -75,9 +81,8 @@ class _BlockBuffers:
                 self.products[:size].reshape(rows, cols))
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, width: int,
-           buffers: _BlockBuffers) -> None:
-    """Pivot on (row, col), updating the first ``width`` columns and the right-hand side."""
+def _pivot(tableau: np.ndarray, row: int, col: int, buffers: _BlockBuffers) -> None:
+    """Pivot on (row, col), updating every column of the tableau."""
     pivot_row = tableau[row]
     pivot_row /= pivot_row[col]
     column = tableau[:, col]
@@ -85,7 +90,6 @@ def _pivot(tableau: np.ndarray, row: int, col: int, width: int,
     hit[row] = False
     rows = hit.nonzero()[0]
     keep = pivot_row != 0.0
-    keep[width:] = False
     keep[-1] = True
     cols = keep.nonzero()[0]
     values = pivot_row[cols]
@@ -116,20 +120,19 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
     return best_row
 
 
-def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, width: int,
+def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, cb: np.ndarray,
                pivots: List[Tuple[int, int]], budget: int, phase: int,
                buffers: _BlockBuffers) -> None:
-    """Pivot until no column among the first ``width`` has a negative reduced cost.
+    """Pivot until no real column has a negative reduced cost.
 
-    ``costs`` covers every column but the right-hand side; pricing always runs
-    over all of them, so each reduced cost comes from the same BLAS call. The
-    basic costs ``cb`` are kept in step with ``basis`` one entry per pivot.
+    ``costs`` holds the phase's costs of the n real columns. ``cb`` holds the
+    cost of each row's basic variable (a basic artificial costs 1 in phase 1
+    and 0 in phase 2), kept in step with ``basis`` one entry per pivot.
     """
-    priced = tableau[:, :len(costs)]
+    priced = tableau[:, :-1]
     rhs = tableau[:, -1]
-    cb = costs[basis]
     while True:
-        negative = costs[:width] - (cb @ priced)[:width] < -TOL
+        negative = costs - cb @ priced < -TOL
         entering = int(negative.argmax())
         if not negative[entering]:
             return
@@ -140,7 +143,7 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, width: 
             raise PivotLimit(f"simplex phase {phase} reached the pivot budget "
                              f"after {len(pivots)} pivots")
         pivots.append((entering, basis[row]))
-        _pivot(tableau, row, entering, width, buffers)
+        _pivot(tableau, row, entering, buffers)
         basis[row] = entering
         cb[row] = costs[entering]
 
@@ -159,7 +162,7 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
 
 def _standard_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, n = np.shape(a)
-    tableau = np.zeros((m, n + m + 1))
+    tableau = np.empty((m, n + 1))
     tableau[:, :n] = a
     tableau[:, -1] = b
     return tableau
@@ -168,22 +171,20 @@ def _standard_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
     """``solve_standard_form`` on a program already laid out as its tableau.
 
-    ``tableau`` is the C-contiguous m × (n + m + 1) float64 array
-    ``[a | 0 | b]``. The solve overwrites it and frees it before the duals
-    are solved when the caller passes it unnamed (on CPython 3.11+ the callee
-    then holds its only reference).
+    ``tableau`` is the C-contiguous m × (n + 1) float64 array ``[a | b]``;
+    the artificial variables have no columns in it. The solve overwrites it
+    and frees it before the duals are solved when the caller passes it
+    unnamed (on CPython 3.11+ the callee then holds its only reference).
     """
     if tableau.dtype != np.float64 or not tableau.flags.c_contiguous:
         raise InvalidArgument("the tableau must be a C-contiguous float64 array")
     m = tableau.shape[0]
-    n = tableau.shape[1] - m - 1
+    n = tableau.shape[1] - 1
     budget = PIVOTS_PER_DIMENSION * (m + n)
 
-    # Phase 1 tableau: [A | I | b] with artificial costs, rows with b < 0 negated.
+    # Rows with b < 0 are negated, so every artificial starts at b_r >= 0.
     flip = tableau[:, -1] < 0
-    tableau[flip, :n] *= -1.0
-    tableau[flip, -1] *= -1.0
-    tableau[np.arange(m), n + np.arange(m)] = 1.0
+    np.negative(tableau, out=tableau, where=flip[:, None])
     # The original columns for the duals: the non-zero entries, plus every
     # entry's sign bit so that the zeros of a column keep their sign.
     a_rows, a_cols = tableau[:, :n].nonzero()
@@ -191,31 +192,28 @@ def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
     a_signs = np.packbits(np.signbit(tableau[:, :n]), axis=0)
 
     basis = list(range(n, n + m))
-    costs = np.zeros(n + m)
-    costs[n:] = 1.0
     pivots: List[Tuple[int, int]] = []
     buffers = _BlockBuffers()
-    _run_phase(tableau, basis, costs, n + m, pivots, budget, 1, buffers)
+    cb = np.ones(m)
+    _run_phase(tableau, basis, np.zeros(n), cb, pivots, budget, 1, buffers)
 
-    phase1_obj = float(costs[basis] @ tableau[:, -1])
+    phase1_obj = float(cb @ tableau[:, -1])
     if phase1_obj > 1e-7:
         raise Infeasible(f"phase-1 objective {phase1_obj}")
 
     # Drive leftover artificial variables out of the basis; rows that cannot
-    # pivot on a real column are redundant and stay harmlessly at zero. From
-    # here on no artificial column enters, so their entries are left stale.
+    # pivot on a real column are redundant and stay harmlessly at zero.
     for r in range(m):
         if basis[r] >= n:
             candidates = (np.abs(tableau[r, :n]) > TOL).nonzero()[0]
             if len(candidates):
                 j = int(candidates[0])
                 pivots.append((j, basis[r]))
-                _pivot(tableau, r, j, n, buffers)
+                _pivot(tableau, r, j, buffers)
                 basis[r] = j
 
-    costs[:n] = c
-    costs[n:] = 0.0
-    _run_phase(tableau, basis, costs, n, pivots, budget, 2, buffers)
+    cb = np.array([c[v] if v < n else 0.0 for v in basis])
+    _run_phase(tableau, basis, c, cb, pivots, budget, 2, buffers)
 
     order = np.array(basis)
     real = order < n
@@ -225,7 +223,7 @@ def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
     del tableau, buffers
 
     # Duals y solve B^T y = c_B for the final basis columns of the original A;
-    # a leftover artificial in the basis contributes its identity column at cost 0.
+    # a leftover artificial in the basis contributes its unit column at cost 0.
     basis_matrix = np.zeros((m, m))
     columns = real.nonzero()[0]
     signs = np.unpackbits(a_signs[:, order[real]], axis=0, count=m)
@@ -236,6 +234,6 @@ def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
     used = at >= 0
     basis_matrix[a_rows[used], at[used]] = a_values[used]
     basis_matrix[order[~real] - n, (~real).nonzero()[0]] = 1.0
-    duals = np.linalg.solve(basis_matrix.T, costs[order])
+    duals = np.linalg.solve(basis_matrix.T, cb)
     duals[flip] *= -1.0
     return SimplexResult(x=x, objective=objective, duals=duals, basis=basis, pivots=pivots)

@@ -365,7 +365,8 @@ def _last_own(game, player: int) -> List[Optional[Tuple[Hashable, str]]]:
 
     This is the player's memory of their own play, in either representation.
     One pass in id order, which must list parents first: raises
-    InvalidArgument at a node whose parent id is not smaller than its own.
+    InvalidArgument at a node whose parent id is not smaller than its own,
+    and at a decision node of the player that no infoset of theirs covers.
     """
     keys = (game.infostate_keys[player] if isinstance(game, ExtensiveFormRep)
             else game.infoset_of(player))
@@ -380,7 +381,11 @@ def _last_own(game, player: int) -> List[Optional[Tuple[Hashable, str]]]:
                 f"node {node.id} does not come after its parent {up}; "
                 "node ids must list parents first")
         if nodes[up].actor == player:
-            last[node.id] = (keys[up], node.incoming_action)
+            try:
+                last[node.id] = (keys[up], node.incoming_action)
+            except KeyError:  # only a classical tree's cells can leave a node out
+                raise InvalidArgument(f"decision node {up} of player {player} belongs "
+                                      "to no infoset of its actor") from None
         else:
             last[node.id] = last[up]
     return last

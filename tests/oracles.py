@@ -197,11 +197,14 @@ def _reference_run_phase(tableau, basis, costs, n_cols, pivots, phase, budget, f
         basis[best_row] = entering
 
 
-def bland_simplex_reference(c, a, b, budget=None):
+def bland_simplex_reference(c, a, b, budget=None, reenter=False):
     """Minimize ``c.x`` over ``a x = b, x >= 0`` with full-tableau row operations.
 
     With a ``budget``, a phase that would pivot once more after ``budget``
-    pivots in all raises ``PivotLimit`` with the kernel's message.
+    pivots in all raises ``PivotLimit`` with the kernel's message. Phase 1
+    freezes the artificial columns, as phase 2 does, so an artificial that
+    leaves the basis never re-enters. ``reenter=True`` prices them in phase 1
+    as well, so that tests can show where the two rules part.
     """
     a = np.asarray(a, dtype=float).copy()
     b = np.asarray(b, dtype=float).copy()
@@ -218,7 +221,9 @@ def bland_simplex_reference(c, a, b, budget=None):
     basis = list(range(n, n + m))
     costs1 = np.concatenate([np.zeros(n), np.ones(m)])
     pivots: List[Tuple[int, int]] = []
-    _reference_run_phase(tableau, basis, costs1, n + m, pivots, 1, budget)
+    artificial = set(range(n, n + m))
+    _reference_run_phase(tableau, basis, costs1, n + m, pivots, 1, budget,
+                         frozen=None if reenter else artificial)
 
     phase1_obj = float(costs1[basis] @ tableau[:, -1])
     if phase1_obj > 1e-7:
@@ -236,7 +241,6 @@ def bland_simplex_reference(c, a, b, budget=None):
                     break
 
     costs2 = np.concatenate([c, np.zeros(m)])
-    artificial = set(range(n, n + m))
     _reference_run_phase(tableau, basis, costs2, n + m, pivots, 2, budget,
                          frozen=artificial)
 

@@ -46,6 +46,19 @@ def test_inspect_malformed_spec_exits_2(capsys, tmp_path):
     assert "initial-state-active" in err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("argv", [("inspect",), ("solve", "cfr", "--iters", "5"),
+                                  ("solve", "lp")])
+def test_non_finite_reward_exits_2(capsys, tmp_path, value, argv):
+    doc = spec_to_json(fosg.kuhn_poker())
+    doc["rewards"]["JQ:b/noop,call"] = [value, 3.0]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--game", str(path))
+    assert (code, out) == (2, "")
+    assert "non-finite-reward" in err
+
+
 def test_solve_lp_pennies(capsys, tmp_path):
     out_path = tmp_path / "result.json"
     code, _, _ = run_cli(capsys, "solve", "lp", "--game", "matching_pennies",

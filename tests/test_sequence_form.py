@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fosg
 from fosg import sequence_form, simplex
@@ -299,7 +299,7 @@ class _StandardForm(Exception):
 def _standard_form(lp, monkeypatch):
     """The (c, a, b) of the tableau ``solve_zero_sum_lp`` hands to the kernel."""
     def capture(c, tableau):
-        n = tableau.shape[1] - tableau.shape[0] - 1
+        n = tableau.shape[1] - 1
         raise _StandardForm(c, tableau[:, :n].copy(), tableau[:, -1].copy())
 
     with monkeypatch.context() as patch:
@@ -410,8 +410,14 @@ def _outcome(solve, c, a, b, **kwargs):
             *(_bits(getattr(result, name)) for name in ("x", "duals", "objective")))
 
 
+# Phase 1 with artificial re-entry ends at 2/3 here, and at 2.0 without it.
+_REENTRY_PROGRAM = (np.array([-0.5, 1.0]), np.array([[1.0, -1.0], [2.0, -1.0], [1.0, -2.0]]),
+                    np.array([0.0, 0.0, -2.0]))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_small_programs())
+@example(_REENTRY_PROGRAM)
 def test_simplex_matches_reference_on_generated_programs(program):
     c, a, b = program
     before = _bits(a)
@@ -421,6 +427,26 @@ def test_simplex_matches_reference_on_generated_programs(program):
     assert _bits(a) == before
 
 
+@pytest.mark.parametrize("game", ["kuhn", "pennies"] + RANDOM_LP_GAMES)
+def test_artificial_reentry_changes_no_sequence_form_program(game, kuhn_rep, pennies_rep,
+                                                            monkeypatch):
+    # The kernel drops an artificial that leaves the basis. On sequence-form
+    # programs that takes the same pivots and bits as pricing it again.
+    fixtures = {"kuhn": kuhn_rep, "pennies": pennies_rep}
+    rep = fixtures[game] if game in fixtures else \
+        oracles.zero_sum_random_rep(game[1], depth=game[0])
+    c, a, b = _standard_form(build_sequence_lp(rep), monkeypatch)
+    assert _outcome(oracles.bland_simplex_reference, c, a, b, reenter=True) == \
+        _outcome(oracles.bland_simplex_reference, c, a, b)
+
+
+def test_artificial_reentry_changes_some_programs():
+    with pytest.raises(Infeasible, match="objective 0.66"):
+        oracles.bland_simplex_reference(*_REENTRY_PROGRAM, reenter=True)
+    with pytest.raises(Infeasible, match="objective 2.0"):
+        solve_standard_form(*_REENTRY_PROGRAM)
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="older interpreters keep a call's arguments alive in the caller")
 @pytest.mark.parametrize("seed", [0, 3])
@@ -428,7 +454,7 @@ def test_lp_solve_holds_one_dense_matrix(seed):
     lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=6))
     rows = lp.f_matrix.shape[0] + lp.e_matrix.shape[1]
     cols = 2 * lp.e_matrix.shape[0] + lp.f_matrix.shape[1] + lp.e_matrix.shape[1]
-    tableau_bytes = rows * (cols + rows + 1) * 8
+    tableau_bytes = rows * (cols + 1) * 8
     tracemalloc.start()
     try:
         solve_zero_sum_lp(lp)
@@ -445,7 +471,7 @@ def test_lp_tableau_is_built_in_place(seed, monkeypatch):
     lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=7))
     rows = lp.f_matrix.shape[0] + lp.e_matrix.shape[1]
     cols = 2 * lp.e_matrix.shape[0] + lp.f_matrix.shape[1] + lp.e_matrix.shape[1]
-    tableau_bytes = rows * (cols + rows + 1) * 8
+    tableau_bytes = rows * (cols + 1) * 8
     monkeypatch.setattr(simplex, "PIVOTS_PER_DIMENSION", 0)
     tracemalloc.start()
     try:
@@ -460,7 +486,7 @@ def test_lp_tableau_is_built_in_place(seed, monkeypatch):
 def test_solve_tableau_rejects_a_tableau_it_cannot_pivot_in_place():
     # The elimination writes through a flat view, which only a C-contiguous
     # float64 array gives.
-    tableau = np.zeros((2, 6))
+    tableau = np.zeros((2, 4))
     tableau[:, :3] = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
     tableau[:, -1] = 1.0
     for bad in (np.asfortranarray(tableau), tableau.astype(np.float32)):

@@ -330,6 +330,20 @@ def test_node_ids_must_list_parents_first():
     assert issubclass(InvalidArgument, ValueError)
 
 
+def test_decision_nodes_must_belong_to_an_infoset(kuhn_efg):
+    # Dropping a cell leaves its members in no infoset of their actor.
+    cells = {p: dict(c) for p, c in kuhn_efg.infosets.items()}
+    key = next(iter(cells[1]))
+    node = cells[1].pop(key)[0]
+    efg = dataclasses.replace(kuhn_efg, infosets=cells)
+    profile = fosg.uniform_profile(kuhn_efg)
+    for call in (lambda: fosg.cfr_run(efg, 20), lambda: fosg.exploitability(efg, profile),
+                 lambda: fosg.check_perfect_recall(efg)):
+        with pytest.raises(InvalidArgument, match=f"decision node {node} of player 1 belongs "
+                                                  "to no infoset"):
+            call()
+
+
 # --- forget_nonacting ---
 
 
