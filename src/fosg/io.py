@@ -14,8 +14,9 @@ import io as _io
 from typing import Dict, List, Tuple
 
 from .cfr import TracePoint
+from .errors import InvalidArgument
 from .model import FactoredObservation, GameSpec, JointKey
-from .unroll import ClassicalEFG, EfgNode
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode
 
 LOAD_TOL = 1e-9
 
@@ -160,6 +161,15 @@ def efg_from_json(doc: dict) -> ClassicalEFG:
         }
     for p in range(1, int(doc["players"]) + 1):
         infosets.setdefault(p, {})
+    covered = [False] * len(nodes)
+    for player, cells in infosets.items():
+        for members in cells.values():
+            for m in members:
+                covered[m] = covered[m] or nodes[m].actor == player
+    for node in nodes:
+        if node.actor not in (CHANCE_ACTOR, TERMINAL_ACTOR) and not covered[node.id]:
+            raise InvalidArgument(f"decision node {node.name!r} of player {node.actor} "
+                                  "belongs to no infoset of its actor")
     return ClassicalEFG(num_players=int(doc["players"]), nodes=nodes, infosets=infosets)
 
 

@@ -200,7 +200,10 @@ def validate(spec: GameSpec, depth_bound: int = 64) -> List[Violation]:
         for succ, prob in dist.items():
             if succ not in state_set:
                 add(Violation("unknown-successor", f"transition to unknown state {succ!r}", state, joint))
-            if prob < 0:
+            if not -inf < prob < inf:  # NaN fails both
+                add(Violation("non-finite-probability", f"non-finite probability {prob!r}",
+                              state, joint))
+            elif prob < 0:
                 add(Violation("negative-probability", f"negative probability {prob}", state, joint))
             total += prob
         if abs(total - 1.0) > 1e-12:
@@ -236,7 +239,10 @@ def validate(spec: GameSpec, depth_bound: int = 64) -> List[Violation]:
                     if act not in legal:
                         add(Violation("chance-policy-illegal-action", f"chance policy uses illegal action {act!r}",
                                       state))
-                    if prob < 0:
+                    if not -inf < prob < inf:  # NaN fails both
+                        add(Violation("non-finite-probability",
+                                      f"non-finite chance probability {prob!r}", state))
+                    elif prob < 0:
                         add(Violation("negative-probability", f"negative chance probability {prob}", state))
                     total += prob
                 if abs(total - 1.0) > 1e-12:

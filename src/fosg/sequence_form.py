@@ -168,30 +168,26 @@ class LPSolution:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
 
 
-def _zero_sum_tableau(lp: SequenceLP) -> np.ndarray:
-    """The simplex tableau ``[a | b]`` of ``solve_zero_sum_lp``'s standard form.
+def _zero_sum_tableau(lp: SequenceLP, a: np.ndarray, b: np.ndarray) -> None:
+    """Write ``solve_zero_sum_lp``'s standard form into the zeroed tableau views ``a`` and ``b``.
 
-    Every block is written straight into the tableau; the artificial
-    variables take no columns. The slack block is ``-I`` with negative zeros
-    off the diagonal, bit for bit ``-np.eye``, since a zero's sign reaches the
-    duals.
+    The artificial variables take no columns. The slack block is ``-I`` with
+    negative zeros off the diagonal, bit for bit ``-np.eye``, since a zero's
+    sign reaches the duals.
     """
     e_mat, f_mat = lp.e_matrix, lp.f_matrix
     k, n1 = e_mat.shape
     n2 = f_mat.shape[1]
     rows_f = f_mat.shape[0]
-    m, n = rows_f + n1, 2 * k + n2 + n1
-    tableau = np.zeros((m, n + 1))
-    tableau[:rows_f, 2 * k:2 * k + n2] = f_mat
-    tableau[:rows_f, -1] = lp.f_vector
-    block = tableau[rows_f:]
+    a[:rows_f, 2 * k:2 * k + n2] = f_mat
+    b[:rows_f] = lp.f_vector
+    block = a[rows_f:]
     block[:, 0:k] = e_mat.T
     np.negative(e_mat.T, out=block[:, k:2 * k])
     np.negative(lp.payoff, out=block[:, 2 * k:2 * k + n2])
-    slack = block[:, 2 * k + n2:n]
+    slack = block[:, 2 * k + n2:]
     slack.fill(-0.0)
     slack[np.arange(n1), np.arange(n1)] = -1.0
-    return tableau
 
 
 def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
@@ -215,9 +211,7 @@ def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
     c[0:k] = e_vec
     c[k:2 * k] = -e_vec
 
-    # The tableau is passed unnamed, so the solver holds its only reference
-    # and frees it before solving for the duals.
-    result = solve_tableau(c, _zero_sum_tableau(lp))
+    result = solve_tableau(c, rows_f + n1, lambda a, b: _zero_sum_tableau(lp, a, b))
     u = result.x[0:k] - result.x[k:2 * k]
     y = result.x[2 * k:2 * k + n2]
     x = result.duals[rows_f:rows_f + n1]

@@ -1,50 +1,64 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Solves min c.x subject to A x = b, x >= 0, on the m × (n + 1) tableau
-``[a | b]``. Phase one drives the artificial variables out of the basis. They
-have no columns: artificial ``n + r`` starts basic in row r as the unit
-column of that row, at cost 1, and once it leaves the basis it never
-re-enters (the textbook rule). Phase one still reaches zero on a feasible
-program, since any feasible x meets the constraints with every artificial,
-dropped or basic, at zero. Phase two optimizes the real objective. Bland's
-rule (lowest eligible index enters, lowest-index basic variable leaves on
-ratio ties) makes the pivot sequence a deterministic function of the input.
+Solves min c.x subject to A x = b, x >= 0. Phase one drives the artificial
+variables out of the basis. They have no columns: artificial ``n + r``
+starts basic in row r as the unit column of that row, at cost 1, and once it
+leaves the basis it never re-enters (the textbook rule). Phase one still
+reaches zero on a feasible program, since any feasible x meets the
+constraints with every artificial, dropped or basic, at zero. Phase two
+optimizes the real objective. Bland's rule (lowest eligible index enters,
+lowest-index basic variable leaves on ratio ties) makes the pivot sequence a
+deterministic function of the input.
 
-The kernel works on whole arrays but applies to every entry it changes the
-same floating-point operations as a row-by-row elimination, so its pivots and
-results are bitwise those of the plain loop (kept as the reference in the
-tests). Pricing is one BLAS product over the n real columns; the reference's
-product spans its artificial columns too, and both took the same pivots on
-every benchmark and test program. A pivot skips rows whose pivot-column entry
-is zero and columns whose pivot-row entry is zero. There the plain loop
-subtracts a signed zero, which can only flip the sign of a zero entry; no
-comparison sees that, and the right-hand side, which the solution is read
-from, is always updated. Bland's rule ends only in exact arithmetic, so a
-solve that reaches ``PIVOTS_PER_DIMENSION`` pivots per row and column raises
-``PivotLimit``.
+The tableau is column-major: an (n + 1) × m array with one contiguous row
+per program column and a last row for the right-hand side. The layout stays
+inside this module; callers write the program through the ``(a, b)`` views
+``solve_tableau`` hands them. Pricing runs in Bland order over blocks of
+about ``_BLOCK_ENTRIES`` tableau entries and stops at the first block that
+holds a reduced cost below -TOL. The ratio test reads the entering column as
+one contiguous row. The elimination updates the pivot row's non-zero columns
+as dense contiguous rows, in chunks of at most ``_BLOCK_ENTRIES`` entries
+and a quarter of the tableau, over the program rows from the first to the
+last with a non-zero pivot-column entry.
 
-A solve holds one dense matrix of the program's size, the tableau. The
-columns of ``a`` that the duals need are kept as a sparse copy, and the
-tableau is dropped before the duals are solved. ``solve_standard_form``
-copies ``a`` into a new tableau; ``solve_tableau`` takes one its caller has
-filled in place, so the program never exists as a separate matrix.
+The kernel applies to every entry it changes the same floating-point
+operations as a row-by-row elimination, so its pivots and results are
+bitwise those of the plain loop (kept as the reference in the tests). The
+reference prices with one product over all columns, artificial ones too, in
+a different summation order; both took the same pivots on every benchmark
+and test program. The plain loop also divides the pivot row's zeros and
+subtracts a product from every entry of each row it eliminates, where the
+kernel skips zero pivot-row entries and leaves an entry alone when its
+row's pivot-column entry is zero. There the plain loop can only flip the
+sign of a zero, which no comparison sees. The right-hand side is the
+exception: x is read from it, and a zero's sign reaches x's bits, so it is
+always divided and, as in the plain loop, changes in exactly the rows whose
+pivot-column entry is non-zero. Bland's rule ends only in exact arithmetic,
+so a solve that reaches ``PIVOTS_PER_DIMENSION`` pivots per row and column
+raises ``PivotLimit``.
+
+A solve holds one dense matrix of the program's size, the tableau, plus the
+elimination's two chunk-sized temporaries (a chunk's products and its rows),
+at most half the tableau together. The columns of ``a`` that the
+duals need are kept as a sparse copy, and the tableau is dropped before the
+duals are solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .errors import Infeasible, InvalidArgument, PivotLimit, Unbounded
+from .errors import Infeasible, PivotLimit, Unbounded
 
 TOL = 1e-9
 
 # The largest completing benchmark LP needs 2.5 pivots per row and column.
 PIVOTS_PER_DIMENSION = 50
 
-# Most tableau entries one elimination block updates at a time.
+# Most tableau entries one pricing block or elimination chunk spans.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -57,52 +71,45 @@ class SimplexResult:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
 
 
-class _BlockBuffers:
-    """The index and product buffers of the elimination blocks, kept for one solve.
+def _entering(blocks: List[Tuple[int, np.ndarray, np.ndarray]], cb: np.ndarray) -> int:
+    """Bland's rule: the lowest column with a reduced cost below -TOL, or -1.
 
-    Fresh buffers per pivot were a new mapping per block whenever a block
-    outgrew the allocator's threshold for mapping memory, and every page of
-    each was faulted in again (about a million faults on the first large solve
-    of a process). The buffers grow to the largest block seen, and no further,
-    so they add nothing to the peak of a solve.
+    ``blocks`` holds the columns in order as (first column, columns, costs);
+    pricing stops at the first block that holds such a column.
     """
-
-    def __init__(self) -> None:
-        self.index = np.empty(0, dtype=np.intp)
-        self.products = np.empty(0)
-
-    def blocks(self, rows: int, cols: int) -> Tuple[np.ndarray, np.ndarray]:
-        size = rows * cols
-        if size > len(self.products):
-            del self.index, self.products  # free the old pair before the new one exists
-            self.index = np.empty(size, dtype=np.intp)
-            self.products = np.empty(size)
-        return (self.index[:size].reshape(rows, cols),
-                self.products[:size].reshape(rows, cols))
+    for start, columns, costs in blocks:
+        negative = costs - columns @ cb < -TOL
+        j = int(negative.argmax())
+        if negative[j]:
+            return start + j
+    return -1
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, buffers: _BlockBuffers) -> None:
-    """Pivot on (row, col), updating every column of the tableau."""
-    pivot_row = tableau[row]
-    pivot_row /= pivot_row[col]
-    column = tableau[:, col]
-    hit = column != 0.0
-    hit[row] = False
-    rows = hit.nonzero()[0]
-    keep = pivot_row != 0.0
-    keep[-1] = True
-    cols = keep.nonzero()[0]
-    values = pivot_row[cols]
-    flat = tableau.reshape(-1)  # a view: the tableau is built C-contiguous
-    step = _BLOCK_ENTRIES // len(cols) or 1
-    for start in range(0, len(rows), step):
-        # A block's rows are not updated before it, so their pivot-column
-        # entries are still the elimination factors.
-        block = rows[start:start + step]
-        index, products = buffers.blocks(len(block), len(cols))
-        np.add.outer(block * tableau.shape[1], cols, out=index)
-        np.multiply.outer(column[block], values, out=products)
-        np.subtract.at(flat, index.reshape(-1), products.reshape(-1))
+def _pivot(tableau: np.ndarray, row: int, col: int, chunk: int) -> None:
+    """Pivot on (row, col), eliminating in chunks of at most ``chunk`` entries."""
+    n = tableau.shape[0] - 1
+    pivot_row = tableau[:, row]
+    # A zero pivot-row entry is not divided; its quotient would be a zero.
+    cols = pivot_row[:n].nonzero()[0]
+    values = pivot_row[cols] / pivot_row[col]
+    pivot_row[n] /= pivot_row[col]
+    pivot_row[cols] = values
+    factors = tableau[col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    if not len(rows):
+        return
+    rhs = tableau[n]
+    rhs[rows] -= factors[rows] * pivot_row[n]
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    span = tableau[:, lo:hi]
+    factors = factors[lo:hi]
+    step = max(chunk // (hi - lo), 1)
+    for start in range(0, len(cols), step):
+        # einsum, not a broadcast multiply: that takes a 64 KiB iteration
+        # buffer per call and runs slower on large chunks.
+        products = np.einsum("i,j->ij", values[start:start + step], factors)
+        span[cols[start:start + step]] -= products
 
 
 def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
@@ -122,28 +129,31 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
 
 def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, cb: np.ndarray,
                pivots: List[Tuple[int, int]], budget: int, phase: int,
-               buffers: _BlockBuffers) -> None:
+               chunk: int) -> None:
     """Pivot until no real column has a negative reduced cost.
 
     ``costs`` holds the phase's costs of the n real columns. ``cb`` holds the
     cost of each row's basic variable (a basic artificial costs 1 in phase 1
     and 0 in phase 2), kept in step with ``basis`` one entry per pivot.
     """
-    priced = tableau[:, :-1]
-    rhs = tableau[:, -1]
+    priced = tableau[:-1]
+    rhs = tableau[-1]
+    # About _BLOCK_ENTRIES entries a block, so a small program is one block.
+    width = max(_BLOCK_ENTRIES // max(len(cb), 1), 1)
+    blocks = [(start, priced[start:start + width], costs[start:start + width])
+              for start in range(0, len(costs), width)]
     while True:
-        negative = costs - cb @ priced < -TOL
-        entering = int(negative.argmax())
-        if not negative[entering]:
+        entering = _entering(blocks, cb)
+        if entering < 0:
             return
-        row = _leaving_row(tableau[:, entering], rhs, basis)
+        row = _leaving_row(priced[entering], rhs, basis)
         if row < 0:
             raise Unbounded(f"column {entering} unbounded")
         if len(pivots) >= budget:
             raise PivotLimit(f"simplex phase {phase} reached the pivot budget "
                              f"after {len(pivots)} pivots")
         pivots.append((entering, basis[row]))
-        _pivot(tableau, row, entering, buffers)
+        _pivot(tableau, row, entering, chunk)
         basis[row] = entering
         cb[row] = costs[entering]
 
@@ -156,48 +166,44 @@ def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexR
     out. Dual values are recovered from the final basis against the original
     data. ``a`` is left unchanged.
     """
-    # The tableau is passed unnamed, so the kernel holds its only reference.
-    return solve_tableau(np.asarray(c, dtype=float), _standard_tableau(a, b))
+    def fill(program: np.ndarray, rhs: np.ndarray) -> None:
+        program[...] = a
+        rhs[...] = b
+
+    return solve_tableau(np.asarray(c, dtype=float), np.shape(a)[0], fill)
 
 
-def _standard_tableau(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m, n = np.shape(a)
-    tableau = np.empty((m, n + 1))
-    tableau[:, :n] = a
-    tableau[:, -1] = b
-    return tableau
+def solve_tableau(c: np.ndarray, m: int,
+                  fill: Callable[[np.ndarray, np.ndarray], None]) -> SimplexResult:
+    """``solve_standard_form`` on a program written straight into the tableau.
 
-
-def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
-    """``solve_standard_form`` on a program already laid out as its tableau.
-
-    ``tableau`` is the C-contiguous m × (n + 1) float64 array ``[a | b]``;
-    the artificial variables have no columns in it. The solve overwrites it
-    and frees it before the duals are solved when the caller passes it
-    unnamed (on CPython 3.11+ the callee then holds its only reference).
+    The kernel allocates the zeroed column-major (n + 1) × m tableau and
+    calls ``fill(a, b)`` once with writable views of it: ``a`` is the m × n
+    constraint matrix (a transposed view of the first n rows) and ``b`` the
+    right-hand side (the last row). The program never exists as a separate
+    matrix, and the tableau is freed before the duals are solved.
     """
-    if tableau.dtype != np.float64 or not tableau.flags.c_contiguous:
-        raise InvalidArgument("the tableau must be a C-contiguous float64 array")
-    m = tableau.shape[0]
-    n = tableau.shape[1] - 1
+    n = len(c)
     budget = PIVOTS_PER_DIMENSION * (m + n)
+    tableau = np.zeros((n + 1, m))
+    fill(tableau[:n].T, tableau[n])
 
     # Rows with b < 0 are negated, so every artificial starts at b_r >= 0.
-    flip = tableau[:, -1] < 0
-    np.negative(tableau, out=tableau, where=flip[:, None])
+    flip = tableau[n] < 0
+    np.negative(tableau, out=tableau, where=flip)
     # The original columns for the duals: the non-zero entries, plus every
     # entry's sign bit so that the zeros of a column keep their sign.
-    a_rows, a_cols = tableau[:, :n].nonzero()
-    a_values = tableau[a_rows, a_cols]
-    a_signs = np.packbits(np.signbit(tableau[:, :n]), axis=0)
+    a_cols, a_rows = tableau[:n].nonzero()
+    a_values = tableau[a_cols, a_rows]
+    a_signs = np.packbits(np.signbit(tableau[:n]), axis=1)
 
     basis = list(range(n, n + m))
     pivots: List[Tuple[int, int]] = []
-    buffers = _BlockBuffers()
+    chunk = min(_BLOCK_ENTRIES, tableau.size // 4)
     cb = np.ones(m)
-    _run_phase(tableau, basis, np.zeros(n), cb, pivots, budget, 1, buffers)
+    _run_phase(tableau, basis, np.zeros(n), cb, pivots, budget, 1, chunk)
 
-    phase1_obj = float(cb @ tableau[:, -1])
+    phase1_obj = float(cb @ tableau[n])
     if phase1_obj > 1e-7:
         raise Infeasible(f"phase-1 objective {phase1_obj}")
 
@@ -205,29 +211,29 @@ def solve_tableau(c: np.ndarray, tableau: np.ndarray) -> SimplexResult:
     # pivot on a real column are redundant and stay harmlessly at zero.
     for r in range(m):
         if basis[r] >= n:
-            candidates = (np.abs(tableau[r, :n]) > TOL).nonzero()[0]
+            candidates = (np.abs(tableau[:n, r]) > TOL).nonzero()[0]
             if len(candidates):
                 j = int(candidates[0])
                 pivots.append((j, basis[r]))
-                _pivot(tableau, r, j, buffers)
+                _pivot(tableau, r, j, chunk)
                 basis[r] = j
 
     cb = np.array([c[v] if v < n else 0.0 for v in basis])
-    _run_phase(tableau, basis, c, cb, pivots, budget, 2, buffers)
+    _run_phase(tableau, basis, c, cb, pivots, budget, 2, chunk)
 
     order = np.array(basis)
     real = order < n
     x = np.zeros(n)
-    x[order[real]] = tableau[real, -1]
+    x[order[real]] = tableau[n, real]
     objective = float(c @ x)
-    del tableau, buffers
+    del tableau
 
     # Duals y solve B^T y = c_B for the final basis columns of the original A;
     # a leftover artificial in the basis contributes its unit column at cost 0.
     basis_matrix = np.zeros((m, m))
     columns = real.nonzero()[0]
-    signs = np.unpackbits(a_signs[:, order[real]], axis=0, count=m)
-    basis_matrix[:, columns] = np.where(signs, -0.0, 0.0)
+    signs = np.unpackbits(a_signs[order[real]], axis=1, count=m)
+    basis_matrix[:, columns] = np.where(signs.T, -0.0, 0.0)
     position = np.full(n, -1)
     position[order[real]] = columns
     at = position[a_cols]

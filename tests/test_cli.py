@@ -11,7 +11,7 @@ from fosg.cfr import SolverTree
 from fosg.cli import _require_spec, main
 from fosg.dot import export_view
 from fosg.errors import InvalidArgument
-from fosg.io import spec_to_json
+from fosg.io import efg_to_json, spec_to_json
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +164,18 @@ def test_timing_pad_chain(capsys, tmp_path):
 def test_timing_pad_nontimeable_exits_4(capsys):
     code, _, _ = run_cli(capsys, "timing", "pad", "--game", "nontimeable")
     assert code == 4
+
+
+@pytest.mark.parametrize("action", ["check", "pad"])
+def test_timing_rejects_a_decision_node_outside_every_infoset(capsys, tmp_path, action):
+    doc = efg_to_json(fosg.forget_nonacting(fosg.unroll(fosg.kuhn_poker())))
+    orphans = doc["infosets"]["1"].pop(0)
+    path = tmp_path / "orphan.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "timing", action, "--game", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"decision node {orphans[0]!r} of player 1" in err
 
 
 def test_export_views(capsys, tmp_path):

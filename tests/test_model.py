@@ -1,5 +1,6 @@
 """Model axioms, stepping, chance merging, and serialization."""
 
+import dataclasses
 import random
 
 import pytest
@@ -48,6 +49,23 @@ def test_missing_observation_is_flagged(kuhn_spec):
     )
     violations = fosg.validate(broken)
     assert any(v.code == "undefined-observation" for v in violations)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_probability_is_flagged(value):
+    # NaN passes both the sign check and the sum check, so it needs its own.
+    spec = fosg.games.kuhn_poker_chance_variant()
+    assert fosg.validate(spec) == []
+    key, dist = next(iter(spec.transitions.items()))
+    transitions = {**spec.transitions, key: {**dist, next(iter(dist)): value}}
+    state, policy = next(iter(spec.chance_policy.items()))
+    chance_policy = {**spec.chance_policy, state: {**policy, next(iter(policy)): value}}
+    for broken, where in ((dataclasses.replace(spec, transitions=transitions), key),
+                          (dataclasses.replace(spec, chance_policy=chance_policy),
+                           (state, None))):
+        flagged = [(v.state, v.action) for v in fosg.validate(broken)
+                   if v.code == "non-finite-probability"]
+        assert flagged == [where]
 
 
 def test_cycle_is_flagged():

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import fosg
 from fosg import sequence_form, simplex
-from fosg.errors import (FosgError, Infeasible, InvalidArgument, InvalidPlan, PivotLimit,
+from fosg.errors import (FosgError, Infeasible, InvalidPlan, PivotLimit,
                          Unbounded)
 from fosg.sequence_form import (EMPTY, build_sequence_lp,
                                 constraint_matrices, enumerate_sequences, lp_dump,
@@ -297,10 +297,11 @@ class _StandardForm(Exception):
 
 
 def _standard_form(lp, monkeypatch):
-    """The (c, a, b) of the tableau ``solve_zero_sum_lp`` hands to the kernel."""
-    def capture(c, tableau):
-        n = tableau.shape[1] - 1
-        raise _StandardForm(c, tableau[:, :n].copy(), tableau[:, -1].copy())
+    """The (c, a, b) that ``solve_zero_sum_lp`` writes into the kernel's zeroed views."""
+    def capture(c, m, fill):
+        a, b = np.zeros((m, len(c))), np.zeros(m)
+        fill(a, b)
+        raise _StandardForm(c, a, b)
 
     with monkeypatch.context() as patch:
         patch.setattr(sequence_form, "solve_tableau", capture)
@@ -415,16 +416,31 @@ _REENTRY_PROGRAM = (np.array([-0.5, 1.0]), np.array([[1.0, -1.0], [2.0, -1.0], [
                     np.array([0.0, 0.0, -2.0]))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_small_programs())
-@example(_REENTRY_PROGRAM)
-def test_simplex_matches_reference_on_generated_programs(program):
+def _assert_program_matches_reference(program):
     c, a, b = program
     before = _bits(a)
     budget = simplex.PIVOTS_PER_DIMENSION * sum(a.shape)
     expected = _outcome(oracles.bland_simplex_reference, c, a, b, budget=budget)
     assert _outcome(solve_standard_form, c, a, b) == expected
     assert _bits(a) == before
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_small_programs())
+@example(_REENTRY_PROGRAM)
+def test_simplex_matches_reference_on_generated_programs(program):
+    _assert_program_matches_reference(program)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_small_programs())
+@example(_REENTRY_PROGRAM)
+def test_simplex_matches_reference_across_block_boundaries(program):
+    # With blocks of 4 entries, pricing covers at most 4 columns a block and
+    # an elimination chunk at most 4 entries, so both span several blocks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex, "_BLOCK_ENTRIES", 4)
+        _assert_program_matches_reference(program)
 
 
 @pytest.mark.parametrize("game", ["kuhn", "pennies"] + RANDOM_LP_GAMES)
@@ -449,7 +465,7 @@ def test_artificial_reentry_changes_some_programs():
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="older interpreters keep a call's arguments alive in the caller")
-@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("seed", [0, 3, 5, 9])
 def test_lp_solve_holds_one_dense_matrix(seed):
     lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=6))
     rows = lp.f_matrix.shape[0] + lp.e_matrix.shape[1]
@@ -483,16 +499,25 @@ def test_lp_tableau_is_built_in_place(seed, monkeypatch):
     assert peak < 1.4 * tableau_bytes
 
 
-def test_solve_tableau_rejects_a_tableau_it_cannot_pivot_in_place():
-    # The elimination writes through a flat view, which only a C-contiguous
-    # float64 array gives.
-    tableau = np.zeros((2, 4))
-    tableau[:, :3] = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
-    tableau[:, -1] = 1.0
-    for bad in (np.asfortranarray(tableau), tableau.astype(np.float32)):
-        with pytest.raises(InvalidArgument):
-            solve_tableau(np.ones(3), bad)
-    assert solve_tableau(np.ones(3), tableau).objective == pytest.approx(1.0)
+def test_solve_tableau_fills_zeroed_views_of_one_tableau():
+    # The kernel allocates the tableau; the caller only sees the program's
+    # two views of it, zeroed and writable, whatever their memory order.
+    c = np.ones(3)
+    seen = []
+
+    def fill(a, b):
+        seen.append((a.shape, b.shape, _bits(a) == _bits(np.zeros((2, 3))),
+                     not b.any(), a.base is not None and a.base is b.base))
+        a[:] = [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+        b[:] = 1.0
+
+    result = solve_tableau(c, 2, fill)
+    assert seen == [((2, 3), (2,), True, True, True)]
+    expected = solve_standard_form(c, np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+                                   np.ones(2))
+    assert result.pivots == expected.pivots
+    assert _bits(result.x) == _bits(expected.x)
+    assert result.objective == pytest.approx(1.0)
 
 
 def test_simplex_stops_at_the_pivot_budget(kuhn_rep, monkeypatch):
