@@ -13,6 +13,7 @@ budget, or any other fosg error raised while solving).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -346,9 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: parsing leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("FOSG_LOG", "WARNING").upper())
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     for option in OUTPUT_OPTIONS:
         path = getattr(args, option, None)
         reason = _unwritable_reason(path) if path else None

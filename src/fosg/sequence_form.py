@@ -162,7 +162,7 @@ def build_sequence_lp(rep: ExtensiveFormRep) -> SequenceLP:
 @dataclass
 class LPSolution:
     game_value: float
-    row_plan: np.ndarray                # maximizer's plan, recovered from the duals
+    row_plan: np.ndarray                # maximizer's plan, the slack columns' reduced costs
     col_plan: np.ndarray                # minimizer's plan (the primal variable)
     u_values: np.ndarray
     pivots: List[Tuple[int, int]] = field(default_factory=list)
@@ -172,8 +172,7 @@ def _zero_sum_tableau(lp: SequenceLP, a: np.ndarray, b: np.ndarray) -> None:
     """Write ``solve_zero_sum_lp``'s standard form into the zeroed tableau views ``a`` and ``b``.
 
     The artificial variables take no columns. The slack block is ``-I`` with
-    negative zeros off the diagonal, bit for bit ``-np.eye``, since a zero's
-    sign reaches the duals.
+    negative zeros off the diagonal, bit for bit ``-np.eye``.
     """
     e_mat, f_mat = lp.e_matrix, lp.f_matrix
     k, n1 = e_mat.shape
@@ -200,7 +199,9 @@ def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
                    E.T u+ - E.T u- - A y - s = 0    (n1 rows)
 
     where k counts rows of E. The minimizing plan y is read from the primal
-    solution, the maximizing plan x from the duals of the second row block.
+    solution. The maximizing plan x is the dual of the second row block, read
+    from the final reduced costs: the slack column -e_s costs 0, so its
+    reduced cost is 0 - yᵀ(-e_s) = y_s.
     """
     e_mat, e_vec = lp.e_matrix, lp.e_vector
     k = e_mat.shape[0]
@@ -214,7 +215,7 @@ def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
     result = solve_tableau(c, rows_f + n1, lambda a, b: _zero_sum_tableau(lp, a, b))
     u = result.x[0:k] - result.x[k:2 * k]
     y = result.x[2 * k:2 * k + n2]
-    x = result.duals[rows_f:rows_f + n1]
+    x = result.reduced_costs[2 * k + n2:]
     return LPSolution(game_value=result.objective, row_plan=x, col_plan=y,
                       u_values=u, pivots=result.pivots)
 

@@ -13,52 +13,55 @@ deterministic function of the input.
 The tableau is column-major: an (n + 1) × m array with one contiguous row
 per program column and a last row for the right-hand side. The layout stays
 inside this module; callers write the program through the ``(a, b)`` views
-``solve_tableau`` hands them. Pricing runs in Bland order over blocks of
-about ``_BLOCK_ENTRIES`` tableau entries and stops at the first block that
-holds a reduced cost below -TOL. The ratio test reads the entering column as
-one contiguous row. The elimination updates the pivot row's non-zero columns
-as dense contiguous rows, in chunks of at most ``_BLOCK_ENTRIES`` entries
-and a quarter of the tableau, over the program rows from the first to the
-last with a non-zero pivot-column entry.
+``solve_tableau`` hands them. The reduced costs d of the n program columns
+are carried through the elimination, ``d[cols] -= values * d[col]`` over
+the divided pivot row, so Bland's rule is a scan for the first one below
+-TOL. Each phase starts from a fresh pricing (one product of the tableau
+with the basic costs). When the carried costs show no entering column, the
+phase prices afresh and ends only if that pricing shows none either; so a
+fresh pricing certifies optimality, and ``solve_tableau`` returns it as
+``reduced_costs``, c - Aᵀy for the final basis's duals y. The ratio test
+reads the entering column as one contiguous row. The elimination updates
+the pivot row's non-zero columns as dense contiguous rows, in chunks of at
+most ``_BLOCK_ENTRIES`` entries and a quarter of the tableau, over the
+program rows from the first to the last with a non-zero pivot-column entry.
 
-The kernel applies to every entry it changes the same floating-point
-operations as a row-by-row elimination, so its pivots and results are
-bitwise those of the plain loop (kept as the reference in the tests). The
-reference prices with one product over all columns, artificial ones too, in
-a different summation order; both took the same pivots on every benchmark
-and test program. The plain loop also divides the pivot row's zeros and
-subtracts a product from every entry of each row it eliminates, where the
-kernel skips zero pivot-row entries and leaves an entry alone when its
-row's pivot-column entry is zero. There the plain loop can only flip the
-sign of a zero, which no comparison sees. The right-hand side is the
-exception: x is read from it, and a zero's sign reaches x's bits, so it is
-always divided and, as in the plain loop, changes in exactly the rows whose
-pivot-column entry is non-zero. Bland's rule ends only in exact arithmetic,
-so a solve that reaches ``PIVOTS_PER_DIMENSION`` pivots per row and column
-raises ``PivotLimit``.
+The kernel applies to every tableau entry it changes the same
+floating-point operations as a row-by-row elimination, so its x is bitwise
+that of the plain loop (kept as the reference in the tests) whenever both
+take the same pivots. The reference prices every column afresh each pivot;
+carried and fresh reduced costs differ only in rounding, and both took the
+same pivots on every completing benchmark and test program. The plain loop
+also divides the pivot row's zeros and subtracts a product from every entry
+of each row it eliminates, where the kernel skips zero pivot-row entries and
+leaves an entry alone when its row's pivot-column entry is zero. There the
+plain loop can only flip the sign of a zero, which no comparison sees. The
+right-hand side is the exception: x is read from it, and a zero's sign
+reaches x's bits, so it is always divided and, as in the plain loop,
+changes in exactly the rows whose pivot-column entry is non-zero. Bland's
+rule ends only in exact arithmetic, so a solve that reaches
+``PIVOTS_PER_DIMENSION`` pivots per row and column raises ``PivotLimit``.
 
 A solve holds one dense matrix of the program's size, the tableau, plus the
 elimination's two chunk-sized temporaries (a chunk's products and its rows),
-at most half the tableau together. The columns of ``a`` that the
-duals need are kept as a sparse copy, and the tableau is dropped before the
-duals are solved.
+at most half the tableau together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import Infeasible, PivotLimit, Unbounded
+from .errors import Infeasible, InvalidArgument, PivotLimit, Unbounded
 
 TOL = 1e-9
 
 # The largest completing benchmark LP needs 2.5 pivots per row and column.
 PIVOTS_PER_DIMENSION = 50
 
-# Most tableau entries one pricing block or elimination chunk spans.
+# Most tableau entries one elimination chunk spans.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -66,27 +69,19 @@ _BLOCK_ENTRIES = 1 << 16
 class SimplexResult:
     x: np.ndarray
     objective: float
-    duals: np.ndarray
     basis: List[int]
     pivots: List[Tuple[int, int]] = field(default_factory=list)
+    # The last fresh pricing of the n program columns, c - Aᵀy.
+    reduced_costs: Optional[np.ndarray] = None
+    # y with Bᵀy = c_B for the final basis; solve_standard_form solves them.
+    duals: Optional[np.ndarray] = None
 
 
-def _entering(blocks: List[Tuple[int, np.ndarray, np.ndarray]], cb: np.ndarray) -> int:
-    """Bland's rule: the lowest column with a reduced cost below -TOL, or -1.
+def _pivot(tableau: np.ndarray, row: int, col: int, chunk: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Pivot on (row, col) in chunks of at most ``chunk`` entries.
 
-    ``blocks`` holds the columns in order as (first column, columns, costs);
-    pricing stops at the first block that holds such a column.
+    Returns the pivot row's non-zero columns and their divided values.
     """
-    for start, columns, costs in blocks:
-        negative = costs - columns @ cb < -TOL
-        j = int(negative.argmax())
-        if negative[j]:
-            return start + j
-    return -1
-
-
-def _pivot(tableau: np.ndarray, row: int, col: int, chunk: int) -> None:
-    """Pivot on (row, col), eliminating in chunks of at most ``chunk`` entries."""
     n = tableau.shape[0] - 1
     pivot_row = tableau[:, row]
     # A zero pivot-row entry is not divided; its quotient would be a zero.
@@ -98,7 +93,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int, chunk: int) -> None:
     factors[row] = 0.0
     rows = factors.nonzero()[0]
     if not len(rows):
-        return
+        return cols, values
     rhs = tableau[n]
     rhs[rows] -= factors[rows] * pivot_row[n]
     lo, hi = int(rows[0]), int(rows[-1]) + 1
@@ -110,6 +105,7 @@ def _pivot(tableau: np.ndarray, row: int, col: int, chunk: int) -> None:
         # buffer per call and runs slower on large chunks.
         products = np.einsum("i,j->ij", values[start:start + step], factors)
         span[cols[start:start + step]] -= products
+    return cols, values
 
 
 def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
@@ -129,8 +125,8 @@ def _leaving_row(column: np.ndarray, rhs: np.ndarray, basis: List[int]) -> int:
 
 def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, cb: np.ndarray,
                pivots: List[Tuple[int, int]], budget: int, phase: int,
-               chunk: int) -> None:
-    """Pivot until no real column has a negative reduced cost.
+               chunk: int) -> np.ndarray:
+    """Pivot until a fresh pricing shows no negative reduced cost; return that pricing.
 
     ``costs`` holds the phase's costs of the n real columns. ``cb`` holds the
     cost of each row's basic variable (a basic artificial costs 1 in phase 1
@@ -138,14 +134,17 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, cb: np.
     """
     priced = tableau[:-1]
     rhs = tableau[-1]
-    # About _BLOCK_ENTRIES entries a block, so a small program is one block.
-    width = max(_BLOCK_ENTRIES // max(len(cb), 1), 1)
-    blocks = [(start, priced[start:start + width], costs[start:start + width])
-              for start in range(0, len(costs), width)]
+    reduced = costs - priced @ cb
+    fresh = True
     while True:
-        entering = _entering(blocks, cb)
-        if entering < 0:
-            return
+        negative = (reduced < -TOL).nonzero()[0]
+        if not len(negative):
+            if fresh:
+                return reduced
+            reduced = costs - priced @ cb
+            fresh = True
+            continue
+        entering = int(negative[0])
         row = _leaving_row(priced[entering], rhs, basis)
         if row < 0:
             raise Unbounded(f"column {entering} unbounded")
@@ -153,50 +152,66 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, cb: np.
             raise PivotLimit(f"simplex phase {phase} reached the pivot budget "
                              f"after {len(pivots)} pivots")
         pivots.append((entering, basis[row]))
-        _pivot(tableau, row, entering, chunk)
+        cols, values = _pivot(tableau, row, entering, chunk)
+        reduced[cols] -= values * reduced[entering]
+        fresh = False
         basis[row] = entering
         cb[row] = costs[entering]
 
 
 def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexResult:
-    """Minimize ``c.x`` over ``a x = b, x >= 0``.
+    """Minimize ``c.x`` over ``a x = b, x >= 0``, leaving ``a`` unchanged.
 
-    Raises Infeasible when phase one cannot reach zero, Unbounded when the
-    objective has no finite minimum, and PivotLimit when the pivot budget runs
-    out. Dual values are recovered from the final basis against the original
-    data. ``a`` is left unchanged.
+    Raises InvalidArgument when the shapes do not match or a value is not
+    finite, Infeasible when phase one cannot reach zero, Unbounded when the
+    objective has no finite minimum, and PivotLimit when the pivot budget
+    runs out. The duals are solved from the final basis columns of ``a``.
     """
+    c, a, b = (np.asarray(v, dtype=float) for v in (c, a, b))
+    if a.ndim != 2 or b.shape != a.shape[:1] or c.shape != a.shape[1:]:
+        raise InvalidArgument(f"shapes do not match: c {c.shape}, a {a.shape}, b {b.shape}")
+
     def fill(program: np.ndarray, rhs: np.ndarray) -> None:
         program[...] = a
         rhs[...] = b
 
-    return solve_tableau(np.asarray(c, dtype=float), np.shape(a)[0], fill)
+    result = solve_tableau(c, len(b), fill)
+    # Bᵀy = c_B, with a's rows flipped as in the tableau; a leftover
+    # artificial in the basis contributes its unit column at cost 0.
+    n, flip = len(c), b < 0
+    order = np.array(result.basis, dtype=int)
+    real = order < n
+    columns = a[:, order[real]]
+    columns[flip] *= -1.0
+    basis_matrix = np.zeros((len(b), len(b)))
+    basis_matrix[:, real] = columns
+    basis_matrix[order[~real] - n, (~real).nonzero()[0]] = 1.0
+    cb = np.array([c[v] if v < n else 0.0 for v in result.basis])
+    result.duals = np.linalg.solve(basis_matrix.T, cb)
+    result.duals[flip] *= -1.0
+    return result
 
 
 def solve_tableau(c: np.ndarray, m: int,
                   fill: Callable[[np.ndarray, np.ndarray], None]) -> SimplexResult:
-    """``solve_standard_form`` on a program written straight into the tableau.
+    """Solve min ``c.x`` over a program written straight into the tableau.
 
     The kernel allocates the zeroed column-major (n + 1) × m tableau and
     calls ``fill(a, b)`` once with writable views of it: ``a`` is the m × n
     constraint matrix (a transposed view of the first n rows) and ``b`` the
     right-hand side (the last row). The program never exists as a separate
-    matrix, and the tableau is freed before the duals are solved.
+    matrix. The kernel holds the pivot budget, raises InvalidArgument for a
+    value that is not finite, and returns reduced costs but no duals.
     """
     n = len(c)
     budget = PIVOTS_PER_DIMENSION * (m + n)
     tableau = np.zeros((n + 1, m))
     fill(tableau[:n].T, tableau[n])
+    if not (np.isfinite(c).all() and np.isfinite(tableau).all()):
+        raise InvalidArgument("the program holds a value that is not finite")
 
     # Rows with b < 0 are negated, so every artificial starts at b_r >= 0.
-    flip = tableau[n] < 0
-    np.negative(tableau, out=tableau, where=flip)
-    # The original columns for the duals: the non-zero entries, plus every
-    # entry's sign bit so that the zeros of a column keep their sign.
-    a_cols, a_rows = tableau[:n].nonzero()
-    a_values = tableau[a_cols, a_rows]
-    a_signs = np.packbits(np.signbit(tableau[:n]), axis=1)
-
+    np.negative(tableau, out=tableau, where=tableau[n] < 0)
     basis = list(range(n, n + m))
     pivots: List[Tuple[int, int]] = []
     chunk = min(_BLOCK_ENTRIES, tableau.size // 4)
@@ -219,27 +234,11 @@ def solve_tableau(c: np.ndarray, m: int,
                 basis[r] = j
 
     cb = np.array([c[v] if v < n else 0.0 for v in basis])
-    _run_phase(tableau, basis, c, cb, pivots, budget, 2, chunk)
+    reduced = _run_phase(tableau, basis, c, cb, pivots, budget, 2, chunk)
 
-    order = np.array(basis)
+    order = np.array(basis, dtype=int)
     real = order < n
     x = np.zeros(n)
     x[order[real]] = tableau[n, real]
-    objective = float(c @ x)
-    del tableau
-
-    # Duals y solve B^T y = c_B for the final basis columns of the original A;
-    # a leftover artificial in the basis contributes its unit column at cost 0.
-    basis_matrix = np.zeros((m, m))
-    columns = real.nonzero()[0]
-    signs = np.unpackbits(a_signs[order[real]], axis=1, count=m)
-    basis_matrix[:, columns] = np.where(signs.T, -0.0, 0.0)
-    position = np.full(n, -1)
-    position[order[real]] = columns
-    at = position[a_cols]
-    used = at >= 0
-    basis_matrix[a_rows[used], at[used]] = a_values[used]
-    basis_matrix[order[~real] - n, (~real).nonzero()[0]] = 1.0
-    duals = np.linalg.solve(basis_matrix.T, cb)
-    duals[flip] *= -1.0
-    return SimplexResult(x=x, objective=objective, duals=duals, basis=basis, pivots=pivots)
+    return SimplexResult(x=x, objective=float(c @ x), basis=basis, pivots=pivots,
+                         reduced_costs=reduced)

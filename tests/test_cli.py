@@ -332,6 +332,21 @@ def test_solve_rejects_a_negative_stride_with_exit_2(capsys, method):
     assert len(errors) == 1 and "must be a non-negative integer" in errors[0]
 
 
+def test_main_reuses_one_parser_across_subcommands(capsys, monkeypatch):
+    # main builds its parser once per process. Two different subcommands run
+    # back to back through it give what a freshly built parser gives each.
+    argvs = [("solve", "cfr", "--game", "kuhn", "--iters", "3", "--seed", "4"),
+             ("timing", "check", "--game", "kuhn"),
+             ("inspect", "--game", "kuhn", "--depth-bound", "9")]
+    assert cli._parser() is cli._parser()
+    for argv in argvs:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+    cached = [run_cli(capsys, *argv) for argv in argvs[1:]]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run_cli(capsys, *argv) for argv in argvs[1:]] == cached
+    assert [code for code, _, _ in cached] == [0, 0]
+
+
 UNWRITABLE = "{unwritable}"
 
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import fosg
 from fosg import sequence_form, simplex
-from fosg.errors import (FosgError, Infeasible, InvalidPlan, PivotLimit,
-                         Unbounded)
+from fosg.errors import (FosgError, Infeasible, InvalidArgument, InvalidPlan,
+                         PivotLimit, Unbounded)
 from fosg.sequence_form import (EMPTY, build_sequence_lp,
                                 constraint_matrices, enumerate_sequences, lp_dump,
                                 lp_profile, payoff_matrix, plan_from_policy,
@@ -323,11 +323,19 @@ def _assert_matches_reference(c, a, b):
     for name in ("x", "duals", "objective"):
         assert _bits(getattr(result, name)) == _bits(getattr(expected, name)), name
     assert _bits(a) == before
+    # The final pricing is c - Aᵀy for the duals y solved from a.
+    assert result.reduced_costs == pytest.approx(c - a.T @ result.duals, abs=1e-9)
     return expected
 
 
-def _assert_lp_matches_reference(lp, monkeypatch):
-    """Both kernel entries against the reference: the copied program and the in-place tableau."""
+def _assert_lp_matches_reference(rep, monkeypatch):
+    """Both kernel entries against the reference: the copied program and the in-place tableau.
+
+    The zero-sum entry reads the maximizer's plan from the slack columns'
+    reduced costs, not from a dual solve, so it matches the reference's
+    duals to rounding only, and its profile is checked for exploitability.
+    """
+    lp = build_sequence_lp(rep)
     expected = _assert_matches_reference(*_standard_form(lp, monkeypatch))
     solution = solve_zero_sum_lp(lp)
     k, n1 = lp.e_matrix.shape
@@ -335,7 +343,8 @@ def _assert_lp_matches_reference(lp, monkeypatch):
     assert solution.pivots == expected.pivots
     assert _bits(solution.game_value) == _bits(expected.objective)
     assert _bits(solution.col_plan) == _bits(expected.x[2 * k:2 * k + n2])
-    assert _bits(solution.row_plan) == _bits(expected.duals[rows_f:rows_f + n1])
+    assert solution.row_plan == pytest.approx(expected.duals[rows_f:rows_f + n1], abs=1e-9)
+    assert fosg.exploitability(rep, lp_profile(rep, solution, lp)) <= 1e-9
 
 
 @pytest.mark.parametrize("game", ["kuhn", (6, 2)])
@@ -356,13 +365,12 @@ def test_zero_sum_tableau_holds_the_standard_form_bit_for_bit(game, kuhn_rep, mo
 
 def test_simplex_matches_reference_on_fixture_lps(kuhn_rep, pennies_rep, monkeypatch):
     for rep in (kuhn_rep, pennies_rep):
-        _assert_lp_matches_reference(build_sequence_lp(rep), monkeypatch)
+        _assert_lp_matches_reference(rep, monkeypatch)
 
 
 @pytest.mark.parametrize("depth, seed", RANDOM_LP_GAMES)
 def test_simplex_matches_reference_on_random_games(depth, seed, monkeypatch):
-    lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=depth))
-    _assert_lp_matches_reference(lp, monkeypatch)
+    _assert_lp_matches_reference(oracles.zero_sum_random_rep(seed, depth=depth), monkeypatch)
 
 
 def test_simplex_matches_reference_on_small_programs():
@@ -436,8 +444,8 @@ def test_simplex_matches_reference_on_generated_programs(program):
 @given(_small_programs())
 @example(_REENTRY_PROGRAM)
 def test_simplex_matches_reference_across_block_boundaries(program):
-    # With blocks of 4 entries, pricing covers at most 4 columns a block and
-    # an elimination chunk at most 4 entries, so both span several blocks.
+    # With blocks of 4 entries an elimination chunk spans at most 4 entries,
+    # so a pivot eliminates in several chunks.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplex, "_BLOCK_ENTRIES", 4)
         _assert_program_matches_reference(program)
@@ -483,7 +491,7 @@ def test_lp_solve_holds_one_dense_matrix(seed):
 @pytest.mark.parametrize("seed", [2, 6])
 def test_lp_tableau_is_built_in_place(seed, monkeypatch):
     # With no pivot budget the solve stops before its first pivot, so the
-    # peak is what building the tableau and the duals' sparse copy take.
+    # peak is what building and checking the tableau take.
     lp = build_sequence_lp(oracles.zero_sum_random_rep(seed, depth=7))
     rows = lp.f_matrix.shape[0] + lp.e_matrix.shape[1]
     cols = 2 * lp.e_matrix.shape[0] + lp.f_matrix.shape[1] + lp.e_matrix.shape[1]
@@ -518,6 +526,61 @@ def test_solve_tableau_fills_zeroed_views_of_one_tableau():
     assert result.pivots == expected.pivots
     assert _bits(result.x) == _bits(expected.x)
     assert result.objective == pytest.approx(1.0)
+
+
+def test_fresh_pricing_ends_each_phase(monkeypatch):
+    # Every pivot hides the carried reduced costs behind +inf, so each phase
+    # only goes on when the fresh pricing at its end finds an entering column.
+    # That pricing is the reference's, so the solve takes its pivots.
+    lp = build_sequence_lp(oracles.zero_sum_random_rep(2, depth=5))
+    c, a, b = _standard_form(lp, monkeypatch)
+    pivot = simplex._pivot
+    calls = []
+
+    def hide_carried_costs(tableau, row, col, chunk):
+        calls.append(col)
+        pivot(tableau, row, col, chunk)
+        n = tableau.shape[0] - 1
+        return np.arange(n), np.full(n, np.inf)
+
+    expected = oracles.bland_simplex_reference(c, a, b)
+    monkeypatch.setattr(simplex, "_pivot", hide_carried_costs)
+    result = solve_standard_form(c, a, b)
+    assert len(calls) == len(expected.pivots) > 2
+    assert result.pivots == expected.pivots
+    assert result.basis == expected.basis
+    for name in ("x", "objective"):
+        assert _bits(getattr(result, name)) == _bits(getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("c, a, b", [
+    ([1.0], [[1.0]], [np.nan]),
+    ([1.0], [[np.inf]], [1.0]),
+    ([np.nan, 1.0], [[1.0, 1.0]], [1.0]),
+    ([1.0, -np.inf], [[1.0, 1.0]], [1.0]),
+])
+def test_simplex_rejects_non_finite_programs(c, a, b):
+    with pytest.raises(InvalidArgument, match="not finite"):
+        solve_standard_form(c, a, b)
+
+
+@pytest.mark.parametrize("c, a, b", [
+    ([1.0], [[1.0, 2.0]], [1.0]),
+    ([1.0, 2.0], [1.0, 2.0], [1.0]),
+    ([1.0, 2.0], [[1.0, 2.0]], [1.0, 2.0]),
+    ([1.0, 2.0], [[1.0, 2.0]], [[1.0]]),
+])
+def test_simplex_rejects_mismatched_shapes(c, a, b):
+    with pytest.raises(InvalidArgument, match="shapes do not match"):
+        solve_standard_form(c, a, b)
+
+
+def test_simplex_solves_a_program_with_no_rows():
+    result = solve_standard_form([1.0, 0.0], np.zeros((0, 2)), [])
+    assert (result.pivots, result.basis, result.objective) == ([], [], 0.0)
+    assert _bits(result.x) == _bits(np.zeros(2))
+    with pytest.raises(Unbounded):
+        solve_standard_form([1.0, -1.0], np.zeros((0, 2)), [])
 
 
 def test_simplex_stops_at_the_pivot_budget(kuhn_rep, monkeypatch):
