@@ -543,9 +543,11 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
         if mode == "simultaneous":
             state.walk(0, 1.0, list(ones))
         else:
+            # Each later player walks against the policies the earlier ones
+            # just updated.
             for p in range(1, tree.num_players + 1):
-                state.refresh_policies(only_player=p)
                 state.walk(0, 1.0, list(ones), update_player=p)
+                state.refresh_policies(only_player=p)
         state.iterations = t + 1
         if trace_stride and ((t + 1) % trace_stride == 0 or t + 1 == iterations):
             avg = tree.profile_from_policies(state.average_policies())

@@ -9,7 +9,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .model import CHANCE, NOOP, FactoredObservation, GameSpec, JointKey
 from .timing import Timing
-from .unroll import ClassicalEFG, EfgNode, ExtensiveFormRep, HistoryNode
+from .unroll import ClassicalEFG, EfgNode, ExtensiveFormRep, HistoryNode, _union_find
 
 CARDS = ("J", "Q", "K")
 BLANK = "-"
@@ -324,22 +324,8 @@ def two_augmentations() -> Tuple[ClassicalEFG, ExtensiveFormRep, ExtensiveFormRe
                 for m_ in members:
                     per[m_] = key
             info_keys[p] = per
-        # Public partition: merge intersecting per-player cells via union-find.
-        uf = list(range(len(hnodes)))
-
-        def find(x):
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        for cells in (cells1, cells2):
-            for cell in cells:
-                for other in cell[1:]:
-                    ra, rb = find(cell[0]), find(other)
-                    if ra != rb:
-                        uf[max(ra, rb)] = min(ra, rb)
-        pub_keys = [("pub", find(i)) for i in range(len(hnodes))]
+        # Public partition: merge intersecting per-player cells.
+        pub_keys = [("pub", root) for root in _union_find(len(hnodes), cells1 + cells2)]
         pub_sets: Dict = {}
         for i, key in enumerate(pub_keys):
             pub_sets.setdefault(key, []).append(i)

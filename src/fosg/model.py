@@ -256,58 +256,50 @@ def validate(spec: GameSpec, depth_bound: int = 64) -> List[Violation]:
     return out
 
 
-def _successor_map(spec: GameSpec) -> Dict[str, set]:
-    succ: Dict[str, set] = {}
+def _check_horizon(spec: GameSpec, depth_bound: int) -> List[Violation]:
+    """A reachable cycle, or else a reachable play longer than ``depth_bound``.
+
+    One Kahn pass over the states reachable through transitions of positive
+    probability. Every state it leaves over has a left-over predecessor, so
+    walking back through those repeats a state, and that state lies on a
+    cycle.
+    """
+    succ: Dict[str, Dict[str, None]] = {}
     for (state, _joint), dist in spec.transitions.items():
-        bucket = succ.setdefault(state, set())
+        bucket = succ.setdefault(state, {})
         for target, prob in dist.items():
             if prob > 0:
-                bucket.add(target)
-    return succ
-
-
-def _check_horizon(spec: GameSpec, depth_bound: int) -> List[Violation]:
-    succ = _successor_map(spec)
-    # Iterative DFS with an explicit on-path set for cycle detection, then a
-    # longest-path depth over the (acyclic) reachable graph.
-    colors: Dict[str, int] = {}
-    on_path: List[str] = []
-    stack: List[Tuple[str, Optional[iter]]] = [(spec.initial_state, None)]
+                bucket[target] = None
+    preds: Dict[str, List[str]] = {spec.initial_state: []}
+    stack = [spec.initial_state]
     while stack:
-        state, it = stack.pop()
-        if it is None:
-            if colors.get(state) == 2:
-                continue
-            if colors.get(state) == 1:
-                continue
-            colors[state] = 1
-            on_path.append(state)
-            it = iter(sorted(succ.get(state, ())))
-        advanced = False
-        for nxt in it:
-            if colors.get(nxt) == 1:
-                return [Violation("cycle", f"reachable cycle through {nxt!r}", nxt)]
-            if colors.get(nxt, 0) == 0:
-                stack.append((state, it))
-                stack.append((nxt, None))
-                advanced = True
-                break
-        if not advanced:
-            colors[state] = 2
-            on_path.pop()
-
-    depth: Dict[str, int] = {}
-
-    def longest(state: str) -> int:
-        if state in depth:
-            return depth[state]
-        best = 0
+        state = stack.pop()
         for nxt in succ.get(state, ()):
-            best = max(best, 1 + longest(nxt))
-        depth[state] = best
-        return best
+            if nxt not in preds:
+                preds[nxt] = []
+                stack.append(nxt)
+            preds[nxt].append(state)
 
-    if longest(spec.initial_state) > depth_bound:
+    waiting = {state: len(p) for state, p in preds.items()}
+    depth = dict.fromkeys(preds, 0)
+    ready = [state for state, count in waiting.items() if not count]
+    while ready:
+        state = ready.pop()
+        for nxt in succ.get(state, ()):
+            depth[nxt] = max(depth[nxt], depth[state] + 1)
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                ready.append(nxt)
+
+    left = [state for state, count in waiting.items() if count]
+    if left:
+        seen = set()
+        state = left[0]
+        while state not in seen:
+            seen.add(state)
+            state = next(p for p in preds[state] if waiting[p])
+        return [Violation("cycle", f"reachable cycle through {state!r}", state)]
+    if max(depth.values()) > depth_bound:
         return [Violation("depth-bound", f"reachable play longer than {depth_bound} transitions",
                           spec.initial_state)]
     return []
@@ -439,18 +431,18 @@ def is_serial(spec: GameSpec) -> bool:
     """
     if spec.has_chance_actor:
         return is_serial(merge_chance(spec))
-    for state in spec.states:
-        players = spec.active_players(state)
-        if len(players) > 1:
+    return all(_is_serial_state(spec, state) for state in spec.states)
+
+
+def _is_serial_state(spec: GameSpec, state: str) -> bool:
+    """At most one player acts at ``state``, and a lone player's moves are deterministic."""
+    players = spec.active_players(state)
+    if len(players) != 1:
+        return not players
+    for joint in spec.joint_actions(state):
+        dist = spec.transitions.get((state, joint))
+        if dist and sum(1 for p in dist.values() if p > 0) > 1:
             return False
-        if len(players) == 1:
-            for joint in spec.joint_actions(state):
-                dist = spec.transitions.get((state, joint))
-                if dist is None:
-                    continue
-                support = [s for s, p in dist.items() if p > 0]
-                if len(support) > 1:
-                    return False
     return True
 
 
@@ -494,13 +486,7 @@ def serialize(spec: GameSpec) -> GameSpec:
 
     for state in spec.states:
         players = spec.active_players(state)
-        keep = len(players) <= 1
-        if len(players) == 1:
-            for joint in spec.joint_actions(state):
-                dist = spec.transitions.get((state, joint))
-                if dist and sum(1 for p in dist.values() if p > 0) > 1:
-                    keep = False
-        if keep:
+        if _is_serial_state(spec, state):
             states.append(state)
             player_fn[state] = spec.player_fn.get(state, frozenset())
             for actor in players:

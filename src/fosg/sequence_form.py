@@ -16,7 +16,7 @@ import numpy as np
 
 from .cfr import PolicyProfile
 from .errors import ImperfectRecall, InvalidPlan, NotZeroSum
-from .simplex import solve_tableau
+from .simplex import solve_standard_form
 from .unroll import CHANCE_ACTOR, ExtensiveFormRep, _last_own, check_perfect_recall
 
 EMPTY = ("∅",)
@@ -212,7 +212,7 @@ def solve_zero_sum_lp(lp: SequenceLP) -> LPSolution:
     c[0:k] = e_vec
     c[k:2 * k] = -e_vec
 
-    result = solve_tableau(c, rows_f + n1, lambda a, b: _zero_sum_tableau(lp, a, b))
+    result = solve_standard_form(c, rows_f + n1, lambda a, b: _zero_sum_tableau(lp, a, b))
     u = result.x[0:k] - result.x[k:2 * k]
     y = result.x[2 * k:2 * k + n2]
     x = result.reduced_costs[2 * k + n2:]
@@ -280,16 +280,22 @@ def validate_plan(plan: RealizationPlan, seqs: SequenceSet, atol: float = 1e-9) 
 
 def realization_to_behavioral(plan: RealizationPlan, seqs: SequenceSet,
                               atol: float = 1e-9) -> Dict[Hashable, Dict[str, float]]:
-    """Behavioural policy x_sa / x_parent, uniform where the parent mass is zero."""
+    """Behavioural policy x_sa over the children's clipped mass, uniform where that is zero.
+
+    Dividing by the children's sum rather than the parent's mass keeps each
+    row a distribution when rounding leaves the two apart, as it does in LP
+    plans: a parent mass of 1e-16 under larger children gives probabilities
+    above 1.
+    """
     problems = validate_plan(plan, seqs, atol)
     if problems:
         raise InvalidPlan("; ".join(problems))
-    x = plan.vector(seqs)
+    x = np.maximum(plan.vector(seqs), 0.0)
     policy: Dict[Hashable, Dict[str, float]] = {}
-    for key, parent_idx, children in seqs.infoset_rows:
-        mass = x[parent_idx]
+    for key, _parent_idx, children in seqs.infoset_rows:
+        mass = sum(x[c] for c in children)
         if mass > 0.0:
-            policy[key] = {seqs.action[c]: max(x[c], 0.0) / mass for c in children}
+            policy[key] = {seqs.action[c]: x[c] / mass for c in children}
         else:
             policy[key] = {seqs.action[c]: 1.0 / len(children) for c in children}
     return policy

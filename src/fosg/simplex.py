@@ -1,10 +1,11 @@
 """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
-Solves min c.x subject to A x = b, x >= 0. Phase one drives the artificial
-variables out of the basis. They have no columns: artificial ``n + r``
-starts basic in row r as the unit column of that row, at cost 1, and once it
-leaves the basis it never re-enters (the textbook rule). Phase one still
-reaches zero on a feasible program, since any feasible x meets the
+``solve_standard_form(c, m, fill)`` minimizes c.x subject to A x = b, x >= 0,
+for a program its caller writes straight into the tableau. Phase one drives
+the artificial variables out of the basis. They have no columns: artificial
+``n + r`` starts basic in row r as the unit column of that row, at cost 1,
+and once it leaves the basis it never re-enters (the textbook rule). Phase
+one still reaches zero on a feasible program, since any feasible x meets the
 constraints with every artificial, dropped or basic, at zero. Phase two
 optimizes the real objective. Bland's rule (lowest eligible index enters,
 lowest-index basic variable leaves on ratio ties) makes the pivot sequence a
@@ -12,14 +13,14 @@ deterministic function of the input.
 
 The tableau is column-major: an (n + 1) × m array with one contiguous row
 per program column and a last row for the right-hand side. The layout stays
-inside this module; callers write the program through the ``(a, b)`` views
-``solve_tableau`` hands them. The reduced costs d of the n program columns
+inside this module; the caller's ``fill`` writes the program through the
+``(a, b)`` views it is handed. The reduced costs d of the n program columns
 are carried through the elimination, ``d[cols] -= values * d[col]`` over
 the divided pivot row, so Bland's rule is a scan for the first one below
 -TOL. Each phase starts from a fresh pricing (one product of the tableau
 with the basic costs). When the carried costs show no entering column, the
 phase prices afresh and ends only if that pricing shows none either; so a
-fresh pricing certifies optimality, and ``solve_tableau`` returns it as
+fresh pricing certifies optimality, and the solve returns it as
 ``reduced_costs``, c - Aᵀy for the final basis's duals y. The ratio test
 reads the entering column as one contiguous row. The elimination updates
 the pivot row's non-zero columns as dense contiguous rows, in chunks of at
@@ -73,8 +74,6 @@ class SimplexResult:
     pivots: List[Tuple[int, int]] = field(default_factory=list)
     # The last fresh pricing of the n program columns, c - Aᵀy.
     reduced_costs: Optional[np.ndarray] = None
-    # y with Bᵀy = c_B for the final basis; solve_standard_form solves them.
-    duals: Optional[np.ndarray] = None
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int, chunk: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,49 +158,18 @@ def _run_phase(tableau: np.ndarray, basis: List[int], costs: np.ndarray, cb: np.
         cb[row] = costs[entering]
 
 
-def solve_standard_form(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> SimplexResult:
-    """Minimize ``c.x`` over ``a x = b, x >= 0``, leaving ``a`` unchanged.
-
-    Raises InvalidArgument when the shapes do not match or a value is not
-    finite, Infeasible when phase one cannot reach zero, Unbounded when the
-    objective has no finite minimum, and PivotLimit when the pivot budget
-    runs out. The duals are solved from the final basis columns of ``a``.
-    """
-    c, a, b = (np.asarray(v, dtype=float) for v in (c, a, b))
-    if a.ndim != 2 or b.shape != a.shape[:1] or c.shape != a.shape[1:]:
-        raise InvalidArgument(f"shapes do not match: c {c.shape}, a {a.shape}, b {b.shape}")
-
-    def fill(program: np.ndarray, rhs: np.ndarray) -> None:
-        program[...] = a
-        rhs[...] = b
-
-    result = solve_tableau(c, len(b), fill)
-    # Bᵀy = c_B, with a's rows flipped as in the tableau; a leftover
-    # artificial in the basis contributes its unit column at cost 0.
-    n, flip = len(c), b < 0
-    order = np.array(result.basis, dtype=int)
-    real = order < n
-    columns = a[:, order[real]]
-    columns[flip] *= -1.0
-    basis_matrix = np.zeros((len(b), len(b)))
-    basis_matrix[:, real] = columns
-    basis_matrix[order[~real] - n, (~real).nonzero()[0]] = 1.0
-    cb = np.array([c[v] if v < n else 0.0 for v in result.basis])
-    result.duals = np.linalg.solve(basis_matrix.T, cb)
-    result.duals[flip] *= -1.0
-    return result
-
-
-def solve_tableau(c: np.ndarray, m: int,
-                  fill: Callable[[np.ndarray, np.ndarray], None]) -> SimplexResult:
-    """Solve min ``c.x`` over a program written straight into the tableau.
+def solve_standard_form(c: np.ndarray, m: int,
+                        fill: Callable[[np.ndarray, np.ndarray], None]) -> SimplexResult:
+    """Minimize ``c.x`` over the m-row program ``fill`` writes into the tableau.
 
     The kernel allocates the zeroed column-major (n + 1) × m tableau and
     calls ``fill(a, b)`` once with writable views of it: ``a`` is the m × n
     constraint matrix (a transposed view of the first n rows) and ``b`` the
     right-hand side (the last row). The program never exists as a separate
-    matrix. The kernel holds the pivot budget, raises InvalidArgument for a
-    value that is not finite, and returns reduced costs but no duals.
+    matrix. Raises InvalidArgument for a value that is not finite,
+    Infeasible when phase one cannot reach zero, Unbounded when the
+    objective has no finite minimum, and PivotLimit when the pivot budget
+    runs out.
     """
     n = len(c)
     budget = PIVOTS_PER_DIMENSION * (m + n)

@@ -17,7 +17,7 @@ import numpy as np
 import fosg
 from fosg.errors import DepthExceeded, Infeasible, NotSerial, PivotLimit, Unbounded
 from fosg.model import GameSpec, InfoKey, advance_keys, is_serial, merge_chance
-from fosg.simplex import TOL, SimplexResult
+from fosg.simplex import TOL
 from fosg.unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode,
                          ExtensiveFormRep, HistoryNode)
 
@@ -156,6 +156,16 @@ def zero_sum_random_rep(seed, depth=5):
 # --- the dense Bland's-rule simplex, one row at a time ---
 
 
+@dataclasses.dataclass
+class ReferenceResult:
+    x: np.ndarray
+    objective: float
+    basis: List[int]
+    pivots: List[Tuple[int, int]]
+    # y with Bᵀy = c_B for the final basis, solved from the original A.
+    duals: np.ndarray
+
+
 def _reference_pivot(tableau, row, col):
     tableau[row] /= tableau[row, col]
     for r in range(tableau.shape[0]):
@@ -225,7 +235,9 @@ def bland_simplex_reference(c, a, b, budget=None, reenter=False):
     _reference_run_phase(tableau, basis, costs1, n + m, pivots, 1, budget,
                          frozen=None if reenter else artificial)
 
-    phase1_obj = float(costs1[basis] @ tableau[:, -1])
+    # Summed as a contiguous vector, as the kernel's right-hand side is: numpy
+    # sums a strided dot product in another order, which can move the last bit.
+    phase1_obj = float(costs1[basis] @ tableau[:, -1].copy())
     if phase1_obj > 1e-7:
         raise Infeasible(f"phase-1 objective {phase1_obj}")
 
@@ -261,7 +273,7 @@ def bland_simplex_reference(c, a, b, budget=None, reenter=False):
     cb = np.array([c[v] if v < n else 0.0 for v in basis])
     duals = np.linalg.solve(basis_matrix.T, cb)
     duals[flip] *= -1.0
-    return SimplexResult(x=x, objective=objective, duals=duals, basis=basis, pivots=pivots)
+    return ReferenceResult(x=x, objective=objective, basis=basis, pivots=pivots, duals=duals)
 
 
 def highs_game_value(lp):

@@ -212,6 +212,19 @@ def test_alternating_mode_converges(kuhn_rep):
     assert exploitability(kuhn_rep, result.average_profile) <= 0.02
 
 
+def test_alternating_mode_walks_against_updated_policies(kuhn_rep):
+    # Player 2's first walk already plays player 1's policy as updated by
+    # player 1's first walk.
+    simultaneous = cfr_run(kuhn_rep, 2).regret_table
+    alternating = cfr_run(kuhn_rep, 2, mode="alternating").regret_table
+    assert alternating.regrets != simultaneous.regrets
+
+
+def test_alternating_mode_converges_tightly(kuhn_rep):
+    result = cfr_run(kuhn_rep, 2000, mode="alternating")
+    assert exploitability(kuhn_rep, result.average_profile) <= 0.002
+
+
 def test_trace_schema(kuhn_rep, tmp_path):
     from fosg.io import trace_to_csv
 

@@ -13,6 +13,8 @@ from fosg.dot import export_view
 from fosg.errors import InvalidArgument
 from fosg.io import efg_to_json, spec_to_json
 
+from test_model import chain_spec
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -44,6 +46,14 @@ def test_inspect_malformed_spec_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "inspect", "--game", str(path))
     assert code == 2
     assert "initial-state-active" in err
+
+
+def test_inspect_long_chain_exits_2(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec_to_json(chain_spec(1200))))
+    code, out, err = run_cli(capsys, "inspect", "--game", str(path))
+    assert (code, out) == (2, "")
+    assert "depth-bound" in err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -85,6 +85,40 @@ def test_cycle_is_flagged():
     assert any(v.code == "cycle" for v in fosg.validate(spec))
 
 
+def chain_spec(length):
+    """A one-player game whose ``length`` playerless states form one line."""
+    states = tuple(f"s{i}" for i in range(length))
+    steps = list(zip(states, states[1:]))
+    return fosg.GameSpec(
+        num_players=1,
+        states=states,
+        initial_state=states[0],
+        player_fn={state: frozenset() for state in states},
+        legal_actions={},
+        transitions={(a, (NOOP,)): {b: 1.0} for a, b in steps},
+        rewards={(a, (NOOP,)): (0.0,) for a, _b in steps},
+        observations={(a, (NOOP,), b): fosg.FactoredObservation((b,), b) for a, b in steps},
+    )
+
+
+def test_long_chain_exceeds_the_depth_bound_without_recursing():
+    assert [v.code for v in fosg.validate(chain_spec(1200))] == ["depth-bound"]
+    assert fosg.validate(chain_spec(1200), depth_bound=1199) == []
+
+
+def test_cycle_below_the_initial_state_is_named():
+    spec = chain_spec(5)
+    # s4 -> s2 closes the cycle s2 -> s3 -> s4, which s0 and s1 lead into.
+    spec = dataclasses.replace(
+        spec, transitions={**spec.transitions, ("s4", (NOOP,)): {"s2": 1.0}},
+        rewards={**spec.rewards, ("s4", (NOOP,)): (0.0,)},
+        observations={**spec.observations,
+                      ("s4", (NOOP,), "s2"): fosg.FactoredObservation(("s2",), "s2")})
+    violations = fosg.validate(spec)
+    assert [v.code for v in violations] == ["cycle"]
+    assert violations[0].state in ("s2", "s3", "s4")
+
+
 def test_step_initial_matching_pennies(pennies_spec):
     rng = random.Random(0)
     nxt, reward, obs = fosg.step(pennies_spec, "start", (NOOP, NOOP), rng)
