@@ -10,19 +10,25 @@ the algorithm.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from math import prod
 from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import ImperfectRecall, InvalidArgument, MissingPolicy, NotZeroSum
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep, _last_own
+from .errors import DepthExceeded, InvalidArgument, MissingPolicy, NotZeroSum
+from .sequence_form import PolicyProfile, SequenceSet, _sequences
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
 
-PolicyProfile = Dict[int, Dict[Hashable, Dict[str, float]]]
 Game = Union[ExtensiveFormRep, ClassicalEFG]
 
 KIND_TERMINAL = 0
 KIND_CHANCE = 1
 KIND_DECISION = 2
+
+# Spare frames a walk keeps below the recursion limit.
+WALK_FRAME_MARGIN = 8
 
 
 @dataclass
@@ -38,7 +44,7 @@ class SolverTree:
     """Flattened tree with per-edge reward vectors shared by all solvers."""
 
     __slots__ = ("num_players", "kind", "owner", "iset_index", "kids", "isets",
-                 "iset_lookup", "zero_sum_gap", "game", "_response_orders")
+                 "iset_lookup", "zero_sum_gap", "height", "game", "_sequence_sets")
 
     def __init__(self, game: Game):
         self.game = game
@@ -64,8 +70,7 @@ class SolverTree:
                     return child.utilities
                 return tuple(0.0 for _ in range(n))
 
-            acting = {p: {key: members for key, members in game.infosets[p].items()}
-                      for p in game.players}
+            acting = {p: game.infosets[p] for p in game.players}
 
         for p in game.players:
             for key, members in acting[p].items():
@@ -100,14 +105,20 @@ class SolverTree:
                     (node.children[label], edge_reward(nodes[node.children[label]]))
                     for label in node.actions)
         self.zero_sum_gap = gap
-        self._response_orders: Dict[int, List[int]] = {}
+        self.height = max(node.depth for node in nodes)
+        self._sequence_sets: Dict[int, Tuple[SequenceSet, List[int]]] = {}
 
     def uniform_policies(self) -> List[List[float]]:
         return [[1.0 / len(s.actions)] * len(s.actions) for s in self.isets]
 
-    def policies_from_profile(self, profile: PolicyProfile) -> List[List[float]]:
+    def policies_from_profile(self, profile: PolicyProfile, responder: Optional[int] = None,
+                              ) -> List[Optional[List[float]]]:
+        """Per-infoset policies; the ``responder``'s entries are not read and stay None."""
         out = []
         for s in self.isets:
+            if s.owner == responder:
+                out.append(None)
+                continue
             per = profile.get(s.owner, {}).get(s.key)
             if per is None:
                 raise MissingPolicy(f"no policy for player {s.owner} at infostate {s.key!r}")
@@ -120,52 +131,16 @@ class SolverTree:
             profile[s.owner][s.key] = {a: dist[k] for k, a in enumerate(s.actions)}
         return profile
 
-    def response_order(self, player: int) -> List[int]:
-        """Evaluation order of a best-response pass for ``player``, computed once.
+    def sequences(self, player: int) -> Tuple[SequenceSet, List[int]]:
+        """The player's sequence set and each node's last sequence of theirs, built once.
 
-        Entries are node ids, or ``~index`` for one of the player's infosets,
-        which stands for all its members at once. Every entry comes after the
-        children of its nodes, so the player's infosets come in reverse
-        topological order of infoset precedence, whatever their depths. That
-        order exists when the player has perfect recall: all members of each
-        of the player's infosets follow the same latest own infoset and
-        action. Otherwise raises ``ImperfectRecall``; node ids that do not
-        list parents first raise ``InvalidArgument``.
+        Raises ``ImperfectRecall`` when the player lacks perfect recall and
+        ``InvalidArgument`` when node ids do not list parents first.
         """
-        order = self._response_orders.get(player)
-        if order is not None:
-            return order
-        last_own = _last_own(self.game, player)
-        for s in self.isets:
-            if s.owner == player and len({last_own[m] for m in s.members}) > 1:
-                raise ImperfectRecall(
-                    f"player {player} has no perfect recall at infostate {s.key!r}")
-        count = len(self.kind)
-        parent: List[Optional[int]] = [None] * count
-        unit = list(range(count))
-        pending: Dict[int, int] = {}  # per entry: child edges whose entries are not placed yet
-        for nid, kids in enumerate(self.kids):
-            if kids is None:
-                continue
-            if self.kind[nid] == KIND_DECISION and self.owner[nid] == player:
-                unit[nid] = ~self.iset_index[nid]
-            pending[unit[nid]] = pending.get(unit[nid], 0) + len(kids)
-            for kid in kids:  # (child, reward), led by the probability on chance edges
-                parent[kid[-2]] = nid
-        ready = [nid for nid in range(count) if self.kids[nid] is None]
-        order = []
-        while ready:
-            u = ready.pop()
-            order.append(u)
-            for m in (self.isets[~u].members if u < 0 else (u,)):
-                up = parent[m]
-                if up is None:
-                    continue
-                pending[unit[up]] -= 1
-                if pending[unit[up]] == 0:
-                    ready.append(unit[up])
-        self._response_orders[player] = order
-        return order
+        cached = self._sequence_sets.get(player)
+        if cached is None:
+            cached = self._sequence_sets[player] = _sequences(self.game, player)
+        return cached
 
 
 def regret_matching(regrets: Sequence[float]) -> List[float]:
@@ -259,21 +234,10 @@ def reach_probabilities(rep: ExtensiveFormRep, profile: PolicyProfile,
         seeds = {0: (1.0, tuple(1.0 for _ in players))}
     chance, reaches = _reach_pass(tree, tree.policies_from_profile(profile), seeds)
     player = dict(zip(players, reaches))
-    count = len(rep.nodes)
-    counterfactual = {}
-    for p in players:
-        others = [q for q in players if q != p]
-        cf = [0.0] * count
-        for nid in range(count):
-            value = chance[nid]
-            for q in others:
-                value *= player[q][nid]
-            cf[nid] = value
-        counterfactual[p] = cf
-    infoset_cf = {p: {} for p in players}
-    for p in players:
-        for key, members in rep.infosets[p].items():
-            infoset_cf[p][key] = sum(counterfactual[p][m] for m in members)
+    counterfactual = {p: [prod((player[q][nid] for q in players if q != p), start=chance[nid])
+                          for nid in range(len(rep.nodes))] for p in players}
+    infoset_cf = {p: {key: sum(counterfactual[p][m] for m in members)
+                      for key, members in rep.infosets[p].items()} for p in players}
     return ReachTable(chance=chance, player=player, counterfactual=counterfactual,
                       infoset_counterfactual=infoset_cf)
 
@@ -290,28 +254,34 @@ class ValueTable:
     infoset_cf_q: Dict[int, Dict[Hashable, Dict[str, float]]]
 
 
-def _node_values(tree: SolverTree, policies: Sequence[Sequence[float]],
-                 ) -> List[Tuple[float, ...]]:
-    """Bottom-up future-reward vector of every node under fixed policies."""
+def _node_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
+                 order: Sequence[int]) -> List[Tuple[float, ...]]:
+    """Bottom-up future-reward vector of every node in ``order`` under fixed policies.
+
+    ``order`` lists parents before children: ``range(len(tree.kind))`` for
+    the whole tree (ids list parents first), or the visit order of a seeded
+    forest. Nodes outside it read zero.
+    """
     n = tree.num_players
+    players = range(n)
     zeros = (0.0,) * n
-    values: List[Tuple[float, ...]] = [zeros] * len(tree.kind)
-    for nid in range(len(tree.kind) - 1, -1, -1):  # parents precede children in id order
-        kind = tree.kind[nid]
+    kinds, kids, iset_index = tree.kind, tree.kids, tree.iset_index
+    values: List[Tuple[float, ...]] = [zeros] * len(kinds)
+    for nid in reversed(order):
+        kind = kinds[nid]
         if kind == KIND_TERMINAL:
             continue
         acc = [0.0] * n
         if kind == KIND_CHANCE:
-            for prob, child, rew in tree.kids[nid]:
+            for prob, child, rew in kids[nid]:
                 sub = values[child]
-                for i in range(n):
+                for i in players:
                     acc[i] += prob * (rew[i] + sub[i])
         else:
-            sigma = policies[tree.iset_index[nid]]
-            for k, (child, rew) in enumerate(tree.kids[nid]):
+            for prob, (child, rew) in zip(policies[iset_index[nid]], kids[nid]):
                 sub = values[child]
-                for i in range(n):
-                    acc[i] += sigma[k] * (rew[i] + sub[i])
+                for i in players:
+                    acc[i] += prob * (rew[i] + sub[i])
         values[nid] = tuple(acc)
     return values
 
@@ -328,7 +298,7 @@ def expected_values(rep: Game, profile: PolicyProfile,
     a prebuilt ``SolverTree`` of ``rep``.
     """
     tree = tree or SolverTree(rep)
-    values = _node_values(tree, tree.policies_from_profile(profile))
+    values = _node_values(tree, tree.policies_from_profile(profile), range(len(tree.kind)))
     n = tree.num_players
     players = tuple(range(1, n + 1))
     node_q: Dict[int, Dict[str, Tuple[float, ...]]] = {}
@@ -373,7 +343,7 @@ def game_value(game: Game, profile: PolicyProfile,
                *, tree: Optional[SolverTree] = None) -> Tuple[float, ...]:
     """Expected utility vector of a profile (root future value)."""
     tree = tree or SolverTree(game)
-    return _node_values(tree, tree.policies_from_profile(profile))[0]
+    return _node_values(tree, tree.policies_from_profile(profile), range(len(tree.kind)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +376,20 @@ class CfrResult:
 
 
 class CfrState:
-    """Mutable regret-matching state over a solver tree."""
+    """Mutable regret-matching state over a solver tree.
+
+    ``walk`` recurses once per tree level, so a tree too deep for the
+    recursion limit from the caller's frame raises ``DepthExceeded`` here.
+    """
 
     def __init__(self, tree: SolverTree):
+        frame, used = sys._getframe(), 0
+        while frame is not None:
+            frame, used = frame.f_back, used + 1
+        limit = sys.getrecursionlimit()
+        if used + tree.height + WALK_FRAME_MARGIN > limit:
+            raise DepthExceeded(f"the tree has {tree.height + 1} levels, more than the recursive "
+                                f"CFR walk can descend under the recursion limit of {limit}")
         self.tree = tree
         self.regrets = [[0.0] * len(s.actions) for s in tree.isets]
         self.strategy_sum = [[0.0] * len(s.actions) for s in tree.isets]
@@ -567,73 +548,61 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
 
 def response_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
                     player: int, seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
-                    ) -> Tuple[List[float], Dict[int, int]]:
-    """Best-response pass of one player below a seeded forest of entry nodes.
+                    ) -> Tuple[float, Dict[int, int], List[int]]:
+    """Best response of one player below a seeded forest, over the player's sequences.
 
     ``seeds`` maps each entry node to its (chance reach, per-player reach
     vector); the whole game is the forest ``{0: (1.0, (1.0, ...))}``. Chance
-    and opponents follow ``policies`` (the responder's entries are not read),
-    and the responder picks, per infoset, the action with the largest
-    counterfactual value. Returns the responder's future value at every node
-    of the forest and the chosen action index per infoset reached.
+    and opponents follow ``policies`` (the responder's entries are not read).
+    One pass down the forest weights each node by chance times the opponents'
+    reach and adds every edge's weighted reward into the responder's last
+    sequence at its child. The responder's infosets reached then pick,
+    deepest first, their child sequence of largest value and add it into
+    their parent sequence. Returns the forest's counterfactual value, the
+    chosen action index per infoset reached, and the forest's nodes, parents
+    first.
     """
     idx = player - 1
+    seqs, last = tree.sequences(player)
     kind, owner, kids, iset_index = tree.kind, tree.owner, tree.kids, tree.iset_index
-    cf: List[Optional[float]] = [None] * len(kind)
-    for h, (pc, pp) in seeds.items():
-        weight = pc
-        for j, reach in enumerate(pp):
-            if j != idx:
-                weight *= reach
-        cf[h] = weight
-    stack = list(seeds)
+    value = [0.0] * len(seqs)
+    reached = set()
+    order: List[int] = []
+    stack = [(h, prod((reach for j, reach in enumerate(pp) if j != idx), start=pc))
+             for h, (pc, pp) in seeds.items()]
     while stack:
-        nid = stack.pop()
+        nid, weight = stack.pop()
+        order.append(nid)
         node_kind = kind[nid]
         if node_kind == KIND_TERMINAL:
             continue
-        weight = cf[nid]
         if node_kind == KIND_CHANCE:
-            for prob, child, _rew in kids[nid]:
-                cf[child] = weight * prob
-                stack.append(child)
-        else:
-            sigma = policies[iset_index[nid]]
-            for k, (child, _rew) in enumerate(kids[nid]):
-                cf[child] = weight * (1.0 if owner[nid] == player else sigma[k])
-                stack.append(child)
+            for prob, child, rew in kids[nid]:
+                w = weight * prob
+                value[last[child]] += w * rew[idx]
+                stack.append((child, w))
+        else:  # the responder's edges keep the weight
+            own = owner[nid] == player
+            if own:
+                reached.add(iset_index[nid])
+            probs = repeat(1.0) if own else policies[iset_index[nid]]
+            for prob, (child, rew) in zip(probs, kids[nid]):
+                w = weight * prob
+                value[last[child]] += w * rew[idx]
+                stack.append((child, w))
 
-    value = [0.0] * len(kind)
     choice: Dict[int, int] = {}
-    for u in tree.response_order(player):
-        if u < 0:
-            s = tree.isets[~u]
-            reached = [m for m in s.members if cf[m] is not None]
-            if not reached:
-                continue
-            best_k, best_q = 0, None
-            for k in range(len(s.actions)):
-                q = 0.0
-                for m in reached:
-                    child, rew = kids[m][k]
-                    q += cf[m] * (rew[idx] + value[child])
-                if best_q is None or q > best_q + 1e-15:
-                    best_k, best_q = k, q
-            choice[s.index] = best_k
-            for m in reached:
-                child, rew = kids[m][best_k]
-                value[m] = rew[idx] + value[child]
-        elif cf[u] is not None and kind[u] != KIND_TERMINAL:
-            acc = 0.0
-            if kind[u] == KIND_CHANCE:
-                for prob, child, rew in kids[u]:
-                    acc += prob * (rew[idx] + value[child])
-            else:
-                sigma = policies[iset_index[u]]
-                for k, (child, rew) in enumerate(kids[u]):
-                    acc += sigma[k] * (rew[idx] + value[child])
-            value[u] = acc
-    return value, choice
+    for key, parent, children in reversed(seqs.infoset_rows):
+        s = tree.iset_lookup[(player, key)]
+        if s not in reached:
+            continue
+        best_k, best_q = 0, value[children[0]]
+        for k in range(1, len(children)):
+            if value[children[k]] > best_q + 1e-15:
+                best_k, best_q = k, value[children[k]]
+        choice[s] = best_k
+        value[parent] += best_q
+    return sum(value[q] for q in sorted({last[h] for h in seeds})), choice, order
 
 
 def best_response(game: Game, profile: PolicyProfile, player: int,
@@ -647,17 +616,10 @@ def best_response(game: Game, profile: PolicyProfile, player: int,
     ``SolverTree`` of ``game``.
     """
     tree = tree or SolverTree(game)
-    policies: List[Optional[List[float]]] = [None] * len(tree.isets)
-    for s in tree.isets:
-        if s.owner == player:
-            continue
-        per = profile.get(s.owner, {}).get(s.key)
-        if per is None:
-            raise MissingPolicy(f"no policy for player {s.owner} at infostate {s.key!r}")
-        policies[s.index] = [float(per.get(a, 0.0)) for a in s.actions]
+    policies = tree.policies_from_profile(profile, responder=player)
     root = {0: (1.0, (1.0,) * tree.num_players)}
-    value, choice = response_values(tree, policies, player, root)
-    return {tree.isets[i].key: tree.isets[i].actions[k] for i, k in choice.items()}, value[0]
+    value, choice, _order = response_values(tree, policies, player, root)
+    return {tree.isets[i].key: tree.isets[i].actions[k] for i, k in choice.items()}, value
 
 
 def exploitability(game: Game, profile: PolicyProfile,

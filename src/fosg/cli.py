@@ -125,7 +125,7 @@ def cmd_inspect(args) -> int:
     try:
         spec = _require_spec(_load_game(args.game))
         rep = _validated_rep(spec, args.depth_bound)
-    except (FosgError, ValueError, FileNotFoundError) as exc:
+    except (FosgError, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     from .model import is_serial
@@ -173,7 +173,7 @@ def cmd_solve(args) -> int:
         spec = _require_spec(_load_game(args.game))
         rep = _validated_rep(spec, args.depth_bound)
         trunk = _load_trunk(args, rep) if args.method == "cfrd" else None
-    except (FosgError, ValueError, FileNotFoundError) as exc:
+    except (FosgError, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
 
@@ -230,7 +230,7 @@ def _as_efg(loaded, depth_bound: int) -> Tuple[ClassicalEFG, Optional[Timing]]:
 def cmd_timing(args) -> int:
     try:
         efg, supplied = _as_efg(_load_game(args.game), args.depth_bound)
-    except (FosgError, ValueError, FileNotFoundError) as exc:
+    except (FosgError, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     timing, witness = find_exact_timing(efg)
@@ -269,7 +269,7 @@ def cmd_export(args) -> int:
         spec = _require_spec(_load_game(args.game))
         rep = _validated_rep(spec, args.depth_bound)
         text = export_view(rep, args.view)
-    except (FosgError, ValueError, FileNotFoundError) as exc:
+    except (FosgError, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     try:

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _reach_pass, exploitability,
-                  game_value, response_values)
+from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _node_values, _reach_pass,
+                  exploitability, game_value, response_values)
 from .errors import InconsistentPBS, InvalidArgument, UnknownPublicState
 from .model import TICK, FactoredObservation, GameSpec
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree, unroll
@@ -418,7 +418,7 @@ class _Leaves:
         return state
 
 
-def _boundary_values(tree: SolverTree, solved: Mapping[int, List[float]],
+def _boundary_values(tree: SolverTree, solved: Sequence[Optional[List[float]]],
                      seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
                      ) -> Dict[int, List[float]]:
     """Per-entry value vectors for the trunk update, one pass per player over all leaves.
@@ -426,14 +426,17 @@ def _boundary_values(tree: SolverTree, solved: Mapping[int, List[float]],
     Each player's value is their counterfactual best response against the
     solved subgames; this keeps the trunk update honest about actions the
     current range excludes. With exact subgame equilibria they coincide with
-    the equilibrium values.
+    the equilibrium values. ``solved`` holds every leaf infoset's policy; the
+    responder's choices replace theirs before the value pass reads each entry.
     """
-    policies: List[Optional[List[float]]] = [None] * len(tree.isets)
-    for idx, dist in solved.items():
-        policies[idx] = dist
-    per_player = [response_values(tree, policies, player, seeds)[0]
-                  for player in range(1, tree.num_players + 1)]
-    return {h: [values[h] for values in per_player] for h in seeds}
+    per_player = []
+    for player in range(1, tree.num_players + 1):
+        _value, choice, order = response_values(tree, solved, player, seeds)
+        chosen = list(solved)
+        for idx, k in choice.items():
+            chosen[idx] = [float(j == k) for j in range(len(tree.isets[idx].actions))]
+        per_player.append(_node_values(tree, chosen, order))
+    return {h: [values[h][p] for p, values in enumerate(per_player)] for h in seeds}
 
 
 def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
@@ -466,7 +469,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
     state = CfrState(tree)
     policy_sum = {idx: [0.0] * len(tree.isets[idx].actions) for idx in trunk_isets}
     sub_sum = {idx: [0.0] * len(tree.isets[idx].actions) for idx in leaves.isets}
-    last_solved: Dict[int, List[float]] = {}
+    last_solved: List[Optional[List[float]]] = [None] * len(tree.isets)
     trace: List[TracePoint] = []
     policies_log: List[PolicyProfile] = []
     start = time.perf_counter()
@@ -489,7 +492,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
             if total > 0.0:
                 dist = [x / total for x in sums]
             else:
-                dist = last_solved.get(idx, [1.0 / len(s.actions)] * len(s.actions))
+                dist = last_solved[idx] or [1.0 / len(s.actions)] * len(s.actions)
             completed[s.owner][s.key] = {a: dist[k] for k, a in enumerate(s.actions)}
         return completed
 

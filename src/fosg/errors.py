@@ -34,7 +34,8 @@ class NotSerial(FosgError):
 
 
 class DepthExceeded(FosgError):
-    """A non-terminal state was reached at the configured depth bound."""
+    """A non-terminal state was reached at the configured depth bound, or a tree
+    is deeper than the recursive CFR walk can descend."""
 
 
 class ThickPublicSets(FosgError):

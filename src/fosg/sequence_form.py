@@ -14,12 +14,13 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cfr import PolicyProfile
 from .errors import ImperfectRecall, InvalidPlan, NotZeroSum
 from .simplex import solve_standard_form
 from .unroll import CHANCE_ACTOR, ExtensiveFormRep, _last_own, check_perfect_recall
 
 EMPTY = ("∅",)
+
+PolicyProfile = Dict[int, Dict[Hashable, Dict[str, float]]]
 
 
 @dataclass
@@ -51,23 +52,30 @@ def enumerate_sequences(rep: ExtensiveFormRep, player: int) -> SequenceSet:
     return _sequences(rep, player)[0]
 
 
-def _sequences(rep: ExtensiveFormRep, player: int) -> Tuple[SequenceSet, List[Hashable]]:
-    """The player's sequence set and, per node, their last sequence above it.
+def _sequences(game, player: int) -> Tuple[SequenceSet, List[int]]:
+    """The player's sequence set and, per node, the index of their last sequence above it.
 
-    The per-node list holds None where that is the empty sequence. The
-    caller checks perfect recall first.
+    Accepts either representation. Infosets come in the order of their
+    smallest member, which lists parents first under perfect recall. Raises
+    ``ImperfectRecall`` when the members of one of the player's infosets
+    follow different last sequences, and ``InvalidArgument`` when node ids
+    do not list parents first.
     """
-    last = _last_own(rep, player)
+    last = _last_own(game, player)
+    cells = (game.acting_infosets(player) if isinstance(game, ExtensiveFormRep)
+             else game.infosets[player])
     sequences: List[Hashable] = [EMPTY]
     index: Dict[Hashable, int] = {EMPTY: 0}
     parent: List[int] = [-1]
     infoset_key: List[Optional[Hashable]] = [None]
     action: List[Optional[str]] = [None]
     rows: List[Tuple[Hashable, int, Tuple[int, ...]]] = []
-    for key, members in rep.acting_infosets(player).items():
+    for key, members in sorted(cells.items(), key=lambda cell: min(cell[1])):
+        if len({last[m] for m in members}) > 1:
+            raise ImperfectRecall(f"player {player} has no perfect recall at infostate {key!r}")
         parent_idx = index[last[members[0]] or EMPTY]
         children = []
-        for a in rep.nodes[members[0]].actions:
+        for a in game.nodes[members[0]].actions:
             seq = (key, a)
             index[seq] = len(sequences)
             sequences.append(seq)
@@ -76,8 +84,9 @@ def _sequences(rep: ExtensiveFormRep, player: int) -> Tuple[SequenceSet, List[Ha
             action.append(a)
             children.append(index[seq])
         rows.append((key, parent_idx, tuple(children)))
-    return SequenceSet(owner=player, sequences=sequences, index=index, parent=parent,
-                       infoset_key=infoset_key, action=action, infoset_rows=rows), last
+    seqs = SequenceSet(owner=player, sequences=sequences, index=index, parent=parent,
+                       infoset_key=infoset_key, action=action, infoset_rows=rows)
+    return seqs, [index[own or EMPTY] for own in last]
 
 
 def terminal_sequences(rep: ExtensiveFormRep, seqs: SequenceSet,
@@ -108,22 +117,17 @@ def payoff_matrix(rep: ExtensiveFormRep) -> np.ndarray:
     return _payoff_matrix(rep, _sequences(rep, 1), _sequences(rep, 2))
 
 
-def _payoff_matrix(rep: ExtensiveFormRep, row: Tuple[SequenceSet, List[Hashable]],
-                   col: Tuple[SequenceSet, List[Hashable]]) -> np.ndarray:
+def _payoff_matrix(rep: ExtensiveFormRep, row: Tuple[SequenceSet, List[int]],
+                   col: Tuple[SequenceSet, List[int]]) -> np.ndarray:
     (seqs1, last1), (seqs2, last2) = row, col
     chance = [1.0] * len(rep.nodes)
-    for node in rep.nodes:
-        if node.parent is None:
-            continue
+    for node in rep.nodes[1:]:  # parents first, the root at 0
         parent = rep.nodes[node.parent]
-        if parent.actor == CHANCE_ACTOR:
-            chance[node.id] = chance[parent.id] * parent.chance_dist[node.incoming_action]
-        else:
-            chance[node.id] = chance[parent.id]
+        chance[node.id] = chance[parent.id] * (parent.chance_dist[node.incoming_action]
+                                               if parent.actor == CHANCE_ACTOR else 1.0)
     a = np.zeros((len(seqs1), len(seqs2)))
     for node in rep.terminals():
-        s, t = seqs1.index[last1[node.id] or EMPTY], seqs2.index[last2[node.id] or EMPTY]
-        a[s, t] += chance[node.id] * node.cumulative_reward[0]
+        a[last1[node.id], last2[node.id]] += chance[node.id] * node.cumulative_reward[0]
     return a
 
 

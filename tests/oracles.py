@@ -3,9 +3,11 @@
 Everything here is deliberately naive: plain enumeration over terminals,
 exhaustive search over pure policies, a hand-rolled Kuhn settlement, the
 row-by-row Bland's-rule simplex the vectorized kernel must match pivot for
-pivot, the per-node unroller the step-table one must match node for node, and
-the root-path perfect-recall check the one-step rules must agree with.
-None of it shares code with the solvers it cross-checks.
+pivot, the per-node unroller the step-table one must match node for node,
+the root-path perfect-recall check the one-step rules must agree with, and
+the node-ordered best response the pass over sequences must agree with.
+None of it shares code with the solvers it cross-checks; the best-response
+reference reads the same compiled ``SolverTree``.
 """
 
 import dataclasses
@@ -15,11 +17,13 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 import fosg
-from fosg.errors import DepthExceeded, Infeasible, NotSerial, PivotLimit, Unbounded
+from fosg.cfr import KIND_CHANCE, KIND_DECISION, KIND_TERMINAL
+from fosg.errors import (DepthExceeded, ImperfectRecall, Infeasible, NotSerial, PivotLimit,
+                         Unbounded)
 from fosg.model import GameSpec, InfoKey, advance_keys, is_serial, merge_chance
 from fosg.simplex import TOL
 from fosg.unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode,
-                         ExtensiveFormRep, HistoryNode)
+                         ExtensiveFormRep, HistoryNode, _last_own)
 
 CARDS = ("J", "Q", "K")
 KUHN_LINES = ("kk", "kbf", "kbc", "bf", "bc")
@@ -508,3 +512,114 @@ def check_perfect_recall_reference(game) -> Tuple[bool, Optional[Tuple]]:
                 if trace(player, other) != reference:
                     return False, (player, key, members[0], other)
     return True, None
+
+
+# --- the node-ordered best response ---
+
+
+def response_order_reference(tree, player: int) -> List[int]:
+    """The Kahn evaluation order the sequence pass replaced, verbatim.
+
+    Entries are node ids, or ``~index`` for one of the player's infosets,
+    which stands for all its members at once. Every entry comes after the
+    children of its nodes, so the player's infosets come in reverse
+    topological order of infoset precedence, whatever their depths. Raises
+    ``ImperfectRecall`` when the members of one of the player's infosets
+    follow different latest own infosets and actions.
+    """
+    last_own = _last_own(tree.game, player)
+    for s in tree.isets:
+        if s.owner == player and len({last_own[m] for m in s.members}) > 1:
+            raise ImperfectRecall(
+                f"player {player} has no perfect recall at infostate {s.key!r}")
+    count = len(tree.kind)
+    parent: List[Optional[int]] = [None] * count
+    unit = list(range(count))
+    pending: Dict[int, int] = {}  # per entry: child edges whose entries are not placed yet
+    for nid, kids in enumerate(tree.kids):
+        if kids is None:
+            continue
+        if tree.kind[nid] == KIND_DECISION and tree.owner[nid] == player:
+            unit[nid] = ~tree.iset_index[nid]
+        pending[unit[nid]] = pending.get(unit[nid], 0) + len(kids)
+        for kid in kids:  # (child, reward), led by the probability on chance edges
+            parent[kid[-2]] = nid
+    ready = [nid for nid in range(count) if tree.kids[nid] is None]
+    order = []
+    while ready:
+        u = ready.pop()
+        order.append(u)
+        for m in (tree.isets[~u].members if u < 0 else (u,)):
+            up = parent[m]
+            if up is None:
+                continue
+            pending[unit[up]] -= 1
+            if pending[unit[up]] == 0:
+                ready.append(unit[up])
+    return order
+
+
+def response_values_reference(tree, policies, player: int, seeds,
+                              ) -> Tuple[List[float], Dict[int, int]]:
+    """The node-ordered ``fosg.cfr.response_values`` the sequence pass replaced, verbatim.
+
+    Returns the responder's future value at every node of the seeded forest
+    and the chosen action index per infoset reached.
+    """
+    idx = player - 1
+    kind, owner, kids, iset_index = tree.kind, tree.owner, tree.kids, tree.iset_index
+    cf: List[Optional[float]] = [None] * len(kind)
+    for h, (pc, pp) in seeds.items():
+        weight = pc
+        for j, reach in enumerate(pp):
+            if j != idx:
+                weight *= reach
+        cf[h] = weight
+    stack = list(seeds)
+    while stack:
+        nid = stack.pop()
+        node_kind = kind[nid]
+        if node_kind == KIND_TERMINAL:
+            continue
+        weight = cf[nid]
+        if node_kind == KIND_CHANCE:
+            for prob, child, _rew in kids[nid]:
+                cf[child] = weight * prob
+                stack.append(child)
+        else:
+            sigma = policies[iset_index[nid]]
+            for k, (child, _rew) in enumerate(kids[nid]):
+                cf[child] = weight * (1.0 if owner[nid] == player else sigma[k])
+                stack.append(child)
+
+    value = [0.0] * len(kind)
+    choice: Dict[int, int] = {}
+    for u in response_order_reference(tree, player):
+        if u < 0:
+            s = tree.isets[~u]
+            reached = [m for m in s.members if cf[m] is not None]
+            if not reached:
+                continue
+            best_k, best_q = 0, None
+            for k in range(len(s.actions)):
+                q = 0.0
+                for m in reached:
+                    child, rew = kids[m][k]
+                    q += cf[m] * (rew[idx] + value[child])
+                if best_q is None or q > best_q + 1e-15:
+                    best_k, best_q = k, q
+            choice[s.index] = best_k
+            for m in reached:
+                child, rew = kids[m][best_k]
+                value[m] = rew[idx] + value[child]
+        elif cf[u] is not None and kind[u] != KIND_TERMINAL:
+            acc = 0.0
+            if kind[u] == KIND_CHANCE:
+                for prob, child, rew in kids[u]:
+                    acc += prob * (rew[idx] + value[child])
+            else:
+                sigma = policies[iset_index[u]]
+                for k, (child, rew) in enumerate(kids[u]):
+                    acc += sigma[k] * (rew[idx] + value[child])
+            value[u] = acc
+    return value, choice

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import fosg
 from fosg.cfr import (CfrState, SolverTree, best_response, cfr_run, exploitability,
-                      expected_values, reach_probabilities, regret_matching)
-from fosg.errors import ImperfectRecall, MissingPolicy, NotZeroSum
+                      expected_values, reach_probabilities, regret_matching, response_values)
+from fosg.decomposition import Trunk, _boundary_values, _Leaves, cfr_d, complete_profile
+from fosg.errors import DepthExceeded, ImperfectRecall, MissingPolicy, NotZeroSum
 
 import oracles
+from test_model import chain_spec
 
 
 def random_profile(rep, rng):
@@ -345,6 +347,61 @@ def test_best_response_matches_enumeration_on_classical_trees():
                 oracles.best_response_by_enumeration(efg, profile, player), abs=1e-12)
             values.append(value)
         assert exploitability(efg, profile) == (values[0] + values[1]) / 2.0
+
+
+def _assert_response_matches_reference(tree, policies, seeds):
+    """Same choices as the node-ordered reference; returns the root value gap."""
+    gap = 0.0
+    for player in range(1, tree.num_players + 1):
+        value, choice, _order = response_values(tree, policies, player, seeds)
+        reference, reference_choice = oracles.response_values_reference(
+            tree, policies, player, seeds)
+        assert choice == reference_choice
+        if 0 in seeds:
+            gap = max(gap, abs(value - reference[0]))
+    return gap
+
+
+def test_response_values_match_the_node_ordered_reference(kuhn_rep):
+    rng = random.Random(23)
+    root = {0: (1.0, (1.0, 1.0))}
+    reps = [kuhn_rep] + [oracles.zero_sum_random_rep(seed, depth=7) for seed in range(12)] \
+        + [oracles.zero_sum_random_rep(seed, depth=8) for seed in range(6)]
+    for rep in reps:
+        tree = SolverTree(rep)
+        leaves = _Leaves.below(rep, tree, Trunk.from_depth(rep, 2))
+        for profile in (random_profile(rep, rng), fosg.uniform_profile(rep)):
+            policies = tree.policies_from_profile(profile)
+            assert _assert_response_matches_reference(tree, policies, root) <= 1e-12
+            seeds = leaves.seeds(tree, policies)
+            _assert_response_matches_reference(tree, policies, seeds)
+            # The boundary values of CFR-D, bit for bit, at every entry.
+            boundary = _boundary_values(tree, policies, seeds)
+            for player in range(1, tree.num_players + 1):
+                reference = oracles.response_values_reference(tree, policies, player, seeds)[0]
+                assert [boundary[h][player - 1] for h in seeds] == [reference[h] for h in seeds]
+    trees = [nontimeable_with_payoffs(seed) for seed in range(3)]
+    for efg in small_perfect_recall_timeable_trees():
+        timing, _ = fosg.find_exact_timing(efg)
+        trees += [efg, fosg.pad_to_1_timeable(efg, timing)]
+    for efg in trees:
+        tree = SolverTree(efg)
+        policies = tree.policies_from_profile(random_classical_profile(efg, rng))
+        assert _assert_response_matches_reference(tree, policies, root) <= 1e-12
+
+
+def test_walks_deeper_than_the_recursion_limit_raise_depth_exceeded():
+    rep = fosg.unroll(chain_spec(1200), depth_bound=5000)
+    trunk = Trunk.from_depth(rep, 2)
+    for call in (lambda: cfr_run(rep, 2), lambda: cfr_d(rep, trunk, 2, 2),
+                 lambda: complete_profile(rep, trunk, {}, 2)):
+        with pytest.raises(DepthExceeded, match="1200 levels"):
+            call()
+    # Best response and the value pass do not recurse.
+    assert best_response(rep, {}, 1) == ({}, 0.0)
+    assert fosg.game_value(rep, {}) == (0.0,)
+    shallow = fosg.unroll(chain_spec(800), depth_bound=5000)
+    assert cfr_run(shallow, 2).average_profile == {1: {}}
 
 
 def test_best_response_requires_perfect_recall_of_the_responder():

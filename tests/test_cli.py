@@ -247,6 +247,31 @@ def test_unknown_game_exits_2(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("argv", [("inspect",), ("solve", "cfr"), ("timing", "check"),
+                                  ("export", "--view", "history")])
+def test_directory_as_game_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *argv, "--game", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Is a directory" in err
+
+
+def test_directory_as_trunk_file_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "solve", "cfrd", "--game", "kuhn",
+                             "--trunk-file", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "Is a directory" in err
+
+
+@pytest.mark.parametrize("method", ["cfr", "cfrd"])
+def test_solve_on_a_tree_too_deep_to_walk_exits_5(capsys, tmp_path, method):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(spec_to_json(chain_spec(1200))))
+    code, out, err = run_cli(capsys, "solve", method, "--game", str(path),
+                             "--depth-bound", "5000", "--iters", "2", "--subgame-iters", "2")
+    assert (code, out) == (5, "")
+    assert len(err.splitlines()) == 1 and "recursion limit" in err
+
+
 def test_solver_determinism(capsys, tmp_path):
     paths = []
     for tag in ("a", "b"):

@@ -285,6 +285,25 @@ def test_cfrd_whole_tree_matches_cfr_exactly(kuhn_rep):
                     assert abs(prob - step_b[player][key][action]) <= 1e-12
 
 
+def _random_zero_sum_reps():
+    return [oracles.zero_sum_random_rep(seed, depth=depth) for depth in (4, 5)
+            for seed in range(10)]
+
+
+def test_cfrd_whole_tree_matches_cfr_exactly_on_random_games():
+    for rep in _random_zero_sum_reps():
+        whole = Trunk(keys=frozenset(rep.public_sets))
+        plain = fosg.cfr_run(rep, 30, record_policies=True)
+        decomposed = cfr_d(rep, whole, 30, subgame_budget=1, record_policies=True)
+        assert decomposed.policies == plain.policies
+
+
+def test_cfrd_at_trunk_depth_2_approaches_equilibrium_on_random_games():
+    for rep in _random_zero_sum_reps():
+        out = cfr_d(rep, Trunk.from_depth(rep, 2), 50, subgame_budget=50)
+        assert fosg.exploitability(rep, out.completed_profile) <= 0.1
+
+
 def test_cfrd_entry_seeds_match_path_products(kuhn_rep):
     rng = random.Random(17)
     for rep in [kuhn_rep] + [oracles.zero_sum_random_rep(seed) for seed in (1, 2)]:

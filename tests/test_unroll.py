@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
-from fosg.cfr import SolverTree
 from fosg.errors import (DepthExceeded, ImperfectRecall, InvalidArgument, NotSerial,
                          ThickPublicSets)
 from fosg.model import NOOP, public_projection
@@ -324,7 +323,7 @@ def _out_of_order_tree() -> ClassicalEFG:
 def test_node_ids_must_list_parents_first():
     efg = _out_of_order_tree()
     for call in (fosg.check_perfect_recall, fosg.augment_classical,
-                 lambda game: SolverTree(game).response_order(1)):
+                 lambda game: fosg.best_response(game, {}, 1)):
         with pytest.raises(InvalidArgument, match="parents first"):
             call(efg)
     assert issubclass(InvalidArgument, ValueError)
