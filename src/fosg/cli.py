@@ -27,10 +27,11 @@ from .decomposition import Trunk, cfr_d
 from .dot import export_view, render_key
 from .errors import FosgError, InvalidArgument, NotZeroSum
 from .io import efg_to_json, sniff_format, spec_from_json, efg_from_json, trace_to_csv
-from .model import GameSpec, serialize, validate
+from .model import GameSpec, is_serial, serialize, validate
 from .sequence_form import build_sequence_lp, lp_dump, lp_profile, solve_zero_sum_lp
 from .timing import Timing, find_exact_timing, pad_to_1_timeable, witness_nodes
-from .unroll import ClassicalEFG, forget_nonacting, unroll
+from .unroll import (ClassicalEFG, check_perfect_recall, forget_nonacting,
+                     has_thick_public_sets, unroll)
 
 SCHEMA = 1
 
@@ -128,9 +129,6 @@ def cmd_inspect(args) -> int:
     except (FosgError, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    from .model import is_serial
-    from .unroll import check_perfect_recall, has_thick_public_sets
-
     recall_ok, _ = check_perfect_recall(rep)
     report = {
         "schema": SCHEMA,

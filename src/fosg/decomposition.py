@@ -15,17 +15,15 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _node_values, _reach_pass,
-                  exploitability, game_value, response_values)
-from .errors import InconsistentPBS, InvalidArgument, UnknownPublicState
-from .model import TICK, FactoredObservation, GameSpec
+                  exploitability, game_value, reach_probabilities, response_values)
+from .errors import InconsistentPBS, InvalidArgument, MissingPolicy, UnknownPublicState
+from .model import TICK, FactoredObservation, GameSpec, serialize
 from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree, unroll
 
 
 def _as_rep(game) -> ExtensiveFormRep:
     if isinstance(game, ExtensiveFormRep):
         return game
-    from .model import serialize
-
     return unroll(serialize(game))
 
 
@@ -207,9 +205,6 @@ def range_at(rep: ExtensiveFormRep, profile: PolicyProfile, public_state: Hashab
     state; entries elsewhere are ignored (reaches at the slice cannot depend
     on them).
     """
-    from .cfr import reach_probabilities
-    from .errors import MissingPolicy
-
     if public_state not in rep.public_sets:
         raise UnknownPublicState(f"public state {public_state!r} does not occur")
     padded: PolicyProfile = {p: {} for p in rep.players}

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
+from .errors import InvalidArgument
 from .model import CHANCE, NOOP, FactoredObservation, GameSpec, JointKey
-from .timing import Timing
-from .unroll import ClassicalEFG, EfgNode, ExtensiveFormRep, HistoryNode, _union_find
+from .timing import Timing, find_exact_timing
+from .unroll import ClassicalEFG, EfgNode, ExtensiveFormRep, _augmented, add_efg_node
 
 CARDS = ("J", "Q", "K")
 BLANK = "-"
@@ -199,25 +201,6 @@ def matching_pennies() -> GameSpec:
 # Classical-tree fixtures for the timing machinery
 
 
-def _efg_builder():
-    nodes: List[EfgNode] = []
-
-    def add(name: str, parent: Optional[int], action: Optional[str], actor: int,
-            utilities: Optional[Tuple[float, ...]] = None,
-            chance_dist: Optional[Dict[str, float]] = None) -> int:
-        nid = len(nodes)
-        node = EfgNode(id=nid, name=name, parent=parent, incoming_action=action,
-                       actor=actor, depth=0 if parent is None else nodes[parent].depth + 1,
-                       utilities=utilities, chance_dist=chance_dist)
-        nodes.append(node)
-        if parent is not None:
-            nodes[parent].children[action] = nid
-            nodes[parent].actions = nodes[parent].actions + (action,)
-        return nid
-
-    return nodes, add
-
-
 def nontimeable_fixture() -> ClassicalEFG:
     """Chance-rooted tree with a cyclic cross-infoset timing dependency.
 
@@ -225,7 +208,8 @@ def nontimeable_fixture() -> ClassicalEFG:
     vice versa, so no exact timing exists. Utilities are zero; timeability
     does not depend on payoffs.
     """
-    nodes, add = _efg_builder()
+    nodes: List[EfgNode] = []
+    add = partial(add_efg_node, nodes)
     zero = (0.0, 0.0)
     root = add("root", None, None, 0, chance_dist={"L": 0.5, "R": 0.5})
     g = add("g", root, "L", 1)
@@ -253,8 +237,9 @@ def padding_chain(n: int) -> Tuple[ClassicalEFG, Timing]:
     itself grows linearly.
     """
     if n < 2:
-        raise ValueError("padding_chain requires n >= 2")
-    nodes, add = _efg_builder()
+        raise InvalidArgument("padding_chain requires n >= 2")
+    nodes: List[EfgNode] = []
+    add = partial(add_efg_node, nodes)
     zero = (0.0, 0.0)
     labels: Dict[int, int] = {}
     prev = add("h1", None, None, 1)
@@ -289,7 +274,8 @@ def two_augmentations() -> Tuple[ClassicalEFG, ExtensiveFormRep, ExtensiveFormRe
     they learn it immediately. Both restrict to the same classical tree, so no
     augmentation can be canonical.
     """
-    nodes, add = _efg_builder()
+    nodes: List[EfgNode] = []
+    add = partial(add_efg_node, nodes)
     zero = (0.0, 0.0)
     root = add("root", None, None, 0, chance_dist={"l": 0.5, "r": 0.5})
     u = add("u", root, "l", 1)
@@ -307,33 +293,12 @@ def two_augmentations() -> Tuple[ClassicalEFG, ExtensiveFormRep, ExtensiveFormRe
         infosets={1: {"I1": (u, v)}, 2: {"J_m": (m,), "J_m'": (mp,)}})
 
     def rep_from(cells1, cells2) -> ExtensiveFormRep:
-        hnodes = [
-            HistoryNode(id=nd.id, parent=nd.parent, incoming_action=nd.incoming_action,
-                        world_state=nd.name, actor=nd.actor, depth=nd.depth,
-                        cumulative_reward=nd.utilities or zero, actions=nd.actions,
-                        chance_dist=dict(nd.chance_dist) if nd.chance_dist else None,
-                        children=dict(nd.children))
-            for nd in nodes
-        ]
-        infosets = {1: {f"c1.{i}": cell for i, cell in enumerate(cells1)},
-                    2: {f"c2.{i}": cell for i, cell in enumerate(cells2)}}
-        info_keys = {}
-        for p, cells in infosets.items():
-            per = [None] * len(hnodes)
-            for key, members in cells.items():
-                for m_ in members:
-                    per[m_] = key
-            info_keys[p] = per
-        # Public partition: merge intersecting per-player cells.
-        pub_keys = [("pub", root) for root in _union_find(len(hnodes), cells1 + cells2)]
-        pub_sets: Dict = {}
-        for i, key in enumerate(pub_keys):
-            pub_sets.setdefault(key, []).append(i)
-        return ExtensiveFormRep(
-            num_players=2, nodes=hnodes, infostate_keys=info_keys,
-            infosets={p: {k: tuple(v) for k, v in cells.items()} for p, cells in infosets.items()},
-            public_keys=pub_keys,
-            public_sets={k: tuple(v) for k, v in pub_sets.items()})
+        keys = {p: [None] * len(nodes) for p in (1, 2)}
+        for p, cells in ((1, cells1), (2, cells2)):
+            for i, cell in enumerate(cells):
+                for member in cell:
+                    keys[p][member] = f"c{p}.{i}"
+        return _augmented(classical, keys)
 
     cells1 = [(root,), (u, v), (m,), (mp,), (lu, lv), (mc,), (md,), (mpc,), (mpd,)]
     # Variant A: player 2 cannot separate u from v before acting.
@@ -362,7 +327,7 @@ def random_fosg(seed: int, depth: int = 4, branching: int = 2, players: int = 2,
 
     level_states: List[List[str]] = [["w0.0"]]
     for lvl in range(1, depth + 1):
-        count = rng.randint(2, width + 1) if lvl < depth else rng.randint(2, width + 1)
+        count = rng.randint(2, width + 1)
         level_states.append([f"w{lvl}.{i}" for i in range(count)])
 
     states: List[str] = [s for lvl in level_states for s in lvl]
@@ -445,14 +410,13 @@ def random_timeable_efg(seed: int, depth: int = 4, branching: int = 2,
                         merge_attempts: int = 4) -> ClassicalEFG:
     """A seeded random classical tree that admits an exact timing.
 
-    Starts from a random perfect-information tree and merges same-player,
-    same-action-count decision nodes across branches, keeping only merges that
+    Starts from a random perfect-information tree and merges same-player
+    decision nodes with equal actions across branches, keeping only merges that
     leave the tree timeable. The merges need not preserve perfect recall.
     """
-    from .timing import find_exact_timing
-
     rng = random.Random(seed)
-    nodes, add = _efg_builder()
+    nodes: List[EfgNode] = []
+    add = partial(add_efg_node, nodes)
 
     def leaf_utilities() -> Tuple[float, float]:
         u = round(rng.uniform(-1, 1), 3)
@@ -494,16 +458,11 @@ def random_timeable_efg(seed: int, depth: int = 4, branching: int = 2,
 
     for _ in range(merge_attempts):
         p = rng.choice((1, 2))
-        candidates = [i for i, cell in enumerate(cells[p])]
-        if len(candidates) < 2:
+        if len(cells[p]) < 2:
             continue
-        i, j = rng.sample(candidates, 2)
-        a0 = nodes[cells[p][i][0]].actions
-        b0 = nodes[cells[p][j][0]].actions
-        if len(a0) != len(b0):
-            continue
-        # Action labels must agree inside a cell; relabel the joining branch.
-        if a0 != b0:
+        i, j = rng.sample(range(len(cells[p])), 2)
+        # Action labels must agree inside a cell.
+        if nodes[cells[p][i][0]].actions != nodes[cells[p][j][0]].actions:
             continue
         merged = cells[p][i] + cells[p][j]
         backup = (list(cells[p][i]), list(cells[p][j]))

@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 from .cfr import TracePoint
 from .errors import InvalidArgument
 from .model import FactoredObservation, GameSpec, JointKey
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode, add_efg_node
 
 LOAD_TOL = 1e-9
 
@@ -25,7 +25,7 @@ def _check_symbol(symbol) -> str:
     if not isinstance(symbol, str):
         raise TypeError(f"only string identifiers are exportable, got {symbol!r}")
     if "/" in symbol or "," in symbol:
-        raise ValueError(f"identifier {symbol!r} contains a reserved separator")
+        raise InvalidArgument(f"identifier {symbol!r} contains a reserved separator")
     return symbol
 
 
@@ -69,7 +69,7 @@ def spec_from_json(doc: dict) -> GameSpec:
     for key, dist in transitions.items():
         total = sum(dist.values())
         if not (1 - LOAD_TOL) <= total <= (1 + LOAD_TOL):
-            raise ValueError(f"transition distribution at {key!r} sums to {total!r}")
+            raise InvalidArgument(f"transition distribution at {key!r} sums to {total!r}")
     legal = {}
     for composite, acts in doc["actions"].items():
         state, actor = composite.rsplit("/", 1)
@@ -123,36 +123,38 @@ def efg_to_json(efg: ClassicalEFG) -> dict:
 
 
 def efg_from_json(doc: dict) -> ClassicalEFG:
+    """Load a classical tree; its node list may come in any order.
+
+    One pass over the list: an entry whose parent is not built yet waits under
+    the parent's name and is built once the parent is, so a parents-first
+    list keeps its order as the node ids. Raises InvalidArgument for a repeated
+    node name, a second child under one action, a second root, and entries
+    that never reach a root (orphans or cycles).
+    """
     by_name: Dict[str, int] = {}
     nodes: List[EfgNode] = []
-    pending = list(doc["nodes"])
-    # Parents must be materialized first; reorder defensively.
-    progressed = True
-    while pending and progressed:
-        progressed = False
-        remaining = []
-        for entry in pending:
+    waiting: Dict[str, List[dict]] = {}
+    for entry in doc["nodes"]:
+        parent_name = entry["parent"]
+        if parent_name is not None and parent_name not in by_name:
+            waiting.setdefault(parent_name, []).append(entry)
+            continue
+        ready = [entry]
+        for entry in ready:  # grows by the entries waiting for the one just built
+            name = entry["id"]
+            if name in by_name:
+                raise InvalidArgument(f"node name {name!r} occurs twice")
             parent_name = entry["parent"]
-            if parent_name is not None and parent_name not in by_name:
-                remaining.append(entry)
-                continue
-            parent = by_name.get(parent_name) if parent_name is not None else None
-            nid = len(nodes)
-            node = EfgNode(
-                id=nid, name=entry["id"], parent=parent, incoming_action=entry.get("action"),
-                actor=int(entry["actor"]),
-                depth=0 if parent is None else nodes[parent].depth + 1,
-                utilities=tuple(entry["utilities"]) if "utilities" in entry else None,
-                chance_dist=dict(entry["chance"]) if "chance" in entry else None)
-            nodes.append(node)
-            by_name[node.name] = nid
-            if parent is not None:
-                nodes[parent].children[node.incoming_action] = nid
-                nodes[parent].actions = nodes[parent].actions + (node.incoming_action,)
-            progressed = True
-        pending = remaining
-    if pending:
-        raise ValueError("node list contains orphans or cycles")
+            if parent_name is None and nodes:
+                raise InvalidArgument(f"node {name!r} is a second root")
+            by_name[name] = add_efg_node(
+                nodes, name, None if parent_name is None else by_name[parent_name],
+                entry.get("action"), int(entry["actor"]),
+                tuple(entry["utilities"]) if "utilities" in entry else None,
+                dict(entry["chance"]) if "chance" in entry else None)
+            ready += waiting.pop(name, ())
+    if waiting:
+        raise InvalidArgument("node list contains orphans or cycles")
     infosets = {}
     for player, cells in doc["infosets"].items():
         infosets[int(player)] = {
@@ -179,7 +181,7 @@ def sniff_format(doc: dict) -> str:
         return "spec"
     if "nodes" in doc and "infosets" in doc:
         return "efg"
-    raise ValueError("unrecognized game document")
+    raise InvalidArgument("unrecognized game document")
 
 
 def trace_to_csv(trace: List[TracePoint]) -> str:

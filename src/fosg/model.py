@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
-from .errors import IllegalAction, MissingChancePolicy, StepAtTerminal
+from .errors import (DepthExceeded, IllegalAction, InvalidArgument, MissingChancePolicy,
+                     StepAtTerminal)
 
 NOOP = "noop"
 TICK = "tick"          # trivial observation emitted by intermediate serialization steps
@@ -324,7 +325,7 @@ def _sample(dist: Mapping[str, float], rng: random.Random) -> str:
         if u < acc:
             return key
     if last is None:
-        raise ValueError("cannot sample from an all-zero distribution")
+        raise InvalidArgument("cannot sample from an all-zero distribution")
     return last
 
 
@@ -399,11 +400,11 @@ def merge_chance(spec: GameSpec) -> GameSpec:
                 obs = spec.observations[(state, joint, succ)]
                 prev = observations.setdefault((state, residual, succ), obs)
                 if prev != obs:
-                    raise ValueError(f"ambiguous observation while merging chance at {state!r} -> {succ!r}")
+                    raise InvalidArgument(f"ambiguous observation while merging chance at {state!r} -> {succ!r}")
         reward = spec.rewards[(state, joint)]
         prev_r = rewards.setdefault((state, residual), reward)
         if prev_r != reward:
-            raise ValueError(f"ambiguous reward while merging chance at {state!r}")
+            raise InvalidArgument(f"ambiguous reward while merging chance at {state!r}")
 
     return GameSpec(
         num_players=spec.num_players,
@@ -620,7 +621,7 @@ def expected_utilities(spec: GameSpec, policy: PolicyFn, depth_bound: int = 64,
                 totals[i] += weight * r
             return
         if depth >= depth_bound:
-            raise RecursionError(f"depth bound {depth_bound} hit at state {state!r}")
+            raise DepthExceeded(f"depth bound {depth_bound} hit at state {state!r}")
         players = spec.active_players(state)
         chance_active = spec.has_chance_actor and CHANCE in spec.player_fn.get(state, frozenset())
         player_choices = []
@@ -667,12 +668,12 @@ def acting_infostates(spec: GameSpec, depth_bound: int = 64,
         if spec.is_terminal(state):
             return
         if depth >= depth_bound:
-            raise RecursionError(f"depth bound {depth_bound} hit at state {state!r}")
+            raise DepthExceeded(f"depth bound {depth_bound} hit at state {state!r}")
         for p in spec.active_players(state):
             acts = spec.legal_actions[(state, p)]
             prev = found[p].setdefault(keys[p - 1], acts)
             if prev != acts:
-                raise ValueError(f"information state of player {p} has ambiguous legal actions")
+                raise InvalidArgument(f"information state of player {p} has ambiguous legal actions")
         for joint in spec.joint_actions(state):
             if (state, joint) not in spec.transitions:
                 continue

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidTiming
-from .unroll import ClassicalEFG, EfgNode, _union_find
+from .unroll import ClassicalEFG, EfgNode, _union_find, add_efg_node
 
 WitnessStep = Tuple  # ("edge", parent, child) | ("infoset", a, b, player, key)
 
@@ -235,21 +235,13 @@ def pad_to_1_timeable(efg: ClassicalEFG, timing: Timing) -> ClassicalEFG:
     remap: Dict[int, int] = {}
     pad_counter: Dict[int, int] = {}
 
-    def copy_node(old: EfgNode, parent_new: Optional[int], action: Optional[str],
-                  depth: int) -> int:
-        nid = len(nodes)
-        nodes.append(EfgNode(id=nid, name=old.name, parent=parent_new,
-                             incoming_action=action, actor=old.actor, depth=depth,
-                             actions=old.actions,
-                             chance_dist=dict(old.chance_dist) if old.chance_dist else None,
-                             utilities=old.utilities))
-        remap[old.id] = nid
-        if parent_new is not None:
-            nodes[parent_new].children[action] = nid
-        return nid
+    def copy_node(old: EfgNode, parent_new: Optional[int], action: Optional[str]) -> None:
+        remap[old.id] = add_efg_node(
+            nodes, old.name, parent_new, action, old.actor, old.utilities,
+            dict(old.chance_dist) if old.chance_dist else None)
 
     queue = deque()
-    copy_node(efg.nodes[0], None, None, 0)
+    copy_node(efg.nodes[0], None, None)
     queue.append(efg.nodes[0].id)
     total_tau = 0
     while queue:
@@ -261,18 +253,12 @@ def pad_to_1_timeable(efg: ClassicalEFG, timing: Timing) -> ClassicalEFG:
             total_tau += tau
             attach_id = remap[old_id]
             attach_action = action
-            for k in range(tau):
-                pad_counter[remap[old_id]] = pad_counter.get(remap[old_id], 0) + 1
-                pid = len(nodes)
-                nodes.append(EfgNode(
-                    id=pid, name=f"pad/{old.name}/{pad_counter[remap[old_id]]}",
-                    parent=attach_id, incoming_action=attach_action, actor=0,
-                    depth=nodes[attach_id].depth + 1, actions=("noop",),
-                    chance_dist={"noop": 1.0}))
-                nodes[attach_id].children[attach_action] = pid
-                attach_id = pid
+            for _ in range(tau):
+                count = pad_counter[old_id] = pad_counter.get(old_id, 0) + 1
+                attach_id = add_efg_node(nodes, f"pad/{old.name}/{count}", attach_id,
+                                         attach_action, 0, chance_dist={"noop": 1.0})
                 attach_action = "noop"
-            copy_node(child, attach_id, attach_action, nodes[attach_id].depth + 1)
+            copy_node(child, attach_id, attach_action)
             queue.append(child.id)
 
     assert len(nodes) == len(efg.nodes) + total_tau

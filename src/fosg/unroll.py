@@ -129,6 +129,33 @@ class ClassicalEFG:
         return out
 
 
+def add_efg_node(nodes: List[EfgNode], name: str, parent: Optional[int],
+                 action: Optional[str], actor: int,
+                 utilities: Optional[Tuple[float, ...]] = None,
+                 chance_dist: Optional[Dict[str, float]] = None) -> int:
+    """Append a classical node to ``nodes`` under ``parent`` (None for a root).
+
+    The node's id is its position and its depth one more than its parent's;
+    the parent gains it as the child under ``action``, appended to its
+    ``actions``. ``chance_dist`` is kept, not copied. Returns the new id, and
+    raises InvalidArgument when the parent already has a child under
+    ``action``.
+    """
+    nid = len(nodes)
+    depth = 0
+    if parent is not None:
+        up = nodes[parent]
+        if action in up.children:
+            raise InvalidArgument(f"node {name!r} is a second child of {up.name!r} "
+                                  f"under action {action!r}")
+        up.children[action] = nid
+        up.actions += (action,)
+        depth = up.depth + 1
+    nodes.append(EfgNode(nid, name, parent, action, actor, depth,
+                         chance_dist=chance_dist, utilities=utilities))
+    return nid
+
+
 # One outgoing edge of a world state: (label, successor, reward, observation,
 # appendix ids). ``reward`` is None when it is all zeros, so the child keeps
 # its parent's reward tuple; the ids name what each partition's key gains.
@@ -143,7 +170,7 @@ def unroll(spec: GameSpec, depth_bound: int = 64) -> ExtensiveFormRep:
     nodes by identical action-observation sequences, the public partition by
     identical public-observation sequences. Raises NotSerial for
     simultaneous-move input, DepthExceeded when a non-terminal node sits at
-    ``depth_bound``, and ValueError when an infoset mixes the owner's decision
+    ``depth_bound``, and InvalidArgument when an infoset mixes the owner's decision
     nodes with other nodes or with other legal action sets.
 
     The game's tables are read once per world state through a step table:
@@ -308,8 +335,9 @@ def unroll(spec: GameSpec, depth_bound: int = 64) -> ExtensiveFormRep:
         player, cell = min(mixed + unequal)
         key = node_keys[player - 1][cell]
         if (player, cell) in mixed:
-            raise ValueError(f"infoset {key!r} of player {player} mixes acting and non-acting nodes")
-        raise ValueError(f"infoset {key!r} of player {player} mixes legal action sets")
+            raise InvalidArgument(
+                f"infoset {key!r} of player {player} mixes acting and non-acting nodes")
+        raise InvalidArgument(f"infoset {key!r} of player {player} mixes legal action sets")
 
     return ExtensiveFormRep(
         num_players=nplayers,
@@ -748,12 +776,22 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
                     dist += 1
                 per_node[node.id] = ("dist", per_node[base.id], dist)
         keys[p] = per_node
+    return _augmented(efg, keys)
 
+
+def _augmented(efg: ClassicalEFG, keys: Mapping[int, Sequence[Hashable]]) -> ExtensiveFormRep:
+    """The tree form of ``efg`` whose player partitions group nodes by ``keys``.
+
+    ``keys[p][nid]`` names the cell of player ``p`` holding node ``nid``; cells
+    list their members in id order and come in order of their first member.
+    Non-terminal nodes pay nothing. The public partition is the finest one
+    that every player cell lies within, each cell keyed by its first member.
+    """
+    zero = tuple(0.0 for _ in efg.players)
     nodes = [
         HistoryNode(id=n.id, parent=n.parent, incoming_action=n.incoming_action,
                     world_state=n.name, actor=n.actor, depth=n.depth,
-                    cumulative_reward=n.utilities if n.utilities is not None
-                    else tuple(0.0 for _ in efg.players),
+                    cumulative_reward=n.utilities if n.utilities is not None else zero,
                     actions=n.actions,
                     chance_dist=dict(n.chance_dist) if n.chance_dist else None,
                     children=dict(n.children))
@@ -762,16 +800,15 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
     infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]] = {}
     for p in efg.players:
         cells: Dict[Hashable, List[int]] = {}
-        for n in nodes:
-            cells.setdefault(keys[p][n.id], []).append(n.id)
+        for nid, key in enumerate(keys[p]):
+            cells.setdefault(key, []).append(nid)
         infosets[p] = {k: tuple(v) for k, v in cells.items()}
-    # Public partition: the finest one that every extended cell lies within.
     pub_keys: List[Hashable] = [
         ("pub", c) for c in _union_find(len(nodes), (
             members for cells in infosets.values() for members in cells.values()))]
     public_sets: Dict[Hashable, List[int]] = {}
-    for n in nodes:
-        public_sets.setdefault(pub_keys[n.id], []).append(n.id)
+    for nid, key in enumerate(pub_keys):
+        public_sets.setdefault(key, []).append(nid)
 
     return ExtensiveFormRep(
         num_players=efg.num_players,

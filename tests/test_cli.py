@@ -188,6 +188,21 @@ def test_timing_rejects_a_decision_node_outside_every_infoset(capsys, tmp_path, 
     assert f"decision node {orphans[0]!r} of player 1" in err
 
 
+@pytest.mark.parametrize("field, name, value, message", [
+    ("action", "h-d", "c", "node 'h-d' is a second child of 'h' under action 'c'"),
+    ("id", "g'-b", "g'-a", "node name \"g'-a\" occurs twice"),
+], ids=["action", "name"])
+def test_timing_check_rejects_duplicate_actions_and_names_with_exit_2(
+        capsys, tmp_path, field, name, value, message):
+    doc = efg_to_json(fosg.nontimeable_fixture())
+    next(entry for entry in doc["nodes"] if entry["id"] == name)[field] = value
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "timing", "check", "--game", str(path))
+    assert (code, out) == (2, "")
+    assert err == message + "\n"
+
+
 def test_export_views(capsys, tmp_path):
     for view, needle in (("public", "dealt"), ("history", "deal"), ("infoset:1", "J|dealt")):
         path = tmp_path / f"{view.replace(':', '_')}.dot"
@@ -195,6 +210,24 @@ def test_export_views(capsys, tmp_path):
                              "--out", str(path))
         assert code == 0
         assert needle in path.read_text()
+
+
+def test_export_writes_the_view_to_stdout_without_out(capsys, kuhn_rep):
+    code, out, err = run_cli(capsys, "export", "--view", "history", "--game", "kuhn")
+    assert (code, err) == (0, "")
+    assert out == export_view(kuhn_rep, "history")
+
+
+def test_export_lp_dump_of_a_two_player_game(capsys, tmp_path, kuhn_rep):
+    dump = tmp_path / "kuhn.lp"
+    code, out, _ = run_cli(capsys, "export", "--view", "public", "--game", "kuhn",
+                           "--lp-dump", str(dump))
+    assert code == 0
+    assert out == export_view(kuhn_rep, "public")
+    text = dump.read_text()
+    assert text.startswith("minimize e.u")
+    # Kuhn: per player, a row per infoset plus the root's, and 13 sequences.
+    assert "rows E: 7  cols E: 13" in text and "rows F: 7  cols F: 13" in text
 
 
 def test_export_unknown_view_exits_2(capsys):
@@ -317,6 +350,7 @@ def test_solve_cfrd_with_trunk_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ("solve", "cfr", "--game", "kuhn", "--iters", "0"),
+    ("solve", "cfr", "--game", "kuhn", "--iters", "ten"),
     ("solve", "cfrd", "--game", "kuhn", "--trunk-depth", "0"),
     ("solve", "cfrd", "--game", "kuhn", "--subgame-iters", "0"),
 ])

@@ -1,6 +1,7 @@
 """Model axioms, stepping, chance merging, and serialization."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -66,6 +67,70 @@ def test_non_finite_probability_is_flagged(value):
         flagged = [(v.state, v.action) for v in fosg.validate(broken)
                    if v.code == "non-finite-probability"]
         assert flagged == [where]
+
+
+CHECK = ("JQ:", ("check", NOOP))  # player 1 checks holding J against Q
+
+
+def with_entry(spec, table, key, value=None):
+    """``spec`` with ``key`` of one of its tables set to ``value``, or deleted for None."""
+    updated = dict(getattr(spec, table))
+    if value is None:
+        del updated[key]
+    else:
+        updated[key] = value
+    return dataclasses.replace(spec, **{table: updated})
+
+
+def _with_deal(spec, **changes):
+    """The chance variant with its deal probabilities changed."""
+    return with_entry(spec, "chance_policy", "deal", {**spec.chance_policy["deal"], **changes})
+
+
+# Each case: the fixture to break, one mutation, and the violation code it must raise.
+VIOLATIONS = [
+    ("kuhn", lambda s: dataclasses.replace(s, initial_state="nowhere"), "unknown-initial-state"),
+    ("kuhn", lambda s: with_entry(s, "player_fn", "ghost", frozenset()), "unknown-state"),
+    ("kuhn", lambda s: with_entry(s, "player_fn", "deal", frozenset({0})), "chance-without-policy"),
+    ("kuhn", lambda s: with_entry(s, "player_fn", "JQ:", frozenset({3})), "unknown-player"),
+    ("kuhn", lambda s: with_entry(s, "legal_actions", ("JQ:", 1)), "missing-actions"),
+    ("kuhn", lambda s: with_entry(s, "legal_actions", ("JQ:k", 1), ("x",)), "actions-for-inactive"),
+    ("kuhn", lambda s: with_entry(s, "legal_actions", ("JQ:", 1), ("check", "check")),
+     "duplicate-actions"),
+    ("kuhn", lambda s: with_entry(s, "transitions", CHECK, {"nowhere": 1.0}), "unknown-successor"),
+    ("kuhn", lambda s: with_entry(s, "transitions", CHECK, {"JQ:k": 1.5, "JQ:b": -0.5}),
+     "negative-probability"),
+    ("kuhn", lambda s: with_entry(s, "rewards", CHECK), "missing-reward"),
+    ("kuhn", lambda s: with_entry(s, "rewards", CHECK, (0.0,)), "bad-reward-length"),
+    ("kuhn", lambda s: with_entry(s, "observations", CHECK + ("JQ:k",),
+                             fosg.FactoredObservation(("-",), "check")),
+     "bad-observation-length"),
+    ("kuhn_chance", lambda s: with_entry(s, "chance_policy", "deal"), "missing-chance-policy"),
+    ("kuhn_chance", lambda s: _with_deal(s, XX=0.0), "chance-policy-illegal-action"),
+    ("kuhn_chance", lambda s: _with_deal(s, JQ=-1 / 6, JK=3 / 6), "negative-probability"),
+    ("kuhn_chance", lambda s: with_entry(s, "chance_policy", "JQ:", {"check": 1.0}),
+     "chance-policy-inactive"),
+]
+
+
+@pytest.mark.parametrize("fixture, mutate, code", VIOLATIONS,
+                         ids=[f"{code}-{fixture}" for fixture, _, code in VIOLATIONS])
+def test_validate_reports_each_violation_code(fixture, mutate, code):
+    spec = mutate(fosg.catalog()[fixture].build())
+    assert code in {v.code for v in fosg.validate(spec)}
+
+
+def test_validation_failure_through_inspect_exits_2(capsys, tmp_path):
+    from fosg.cli import main
+    from fosg.io import spec_to_json
+
+    spec = with_entry(fosg.kuhn_poker(), "player_fn", "JQ:", frozenset({3}))
+    path = tmp_path / "unknown-player.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    assert main(["inspect", "--game", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown-player: player index 3 out of range (state JQ:)" in captured.err
 
 
 def test_cycle_is_flagged():

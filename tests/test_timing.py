@@ -1,10 +1,13 @@
-"""Exact timings, witness cycles, normalization, and padding."""
+"""Exact timings, witness cycles, normalization, padding, and loading classical trees."""
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
-from fosg.errors import InvalidTiming
+from fosg.errors import InvalidArgument, InvalidTiming
+from fosg.io import efg_from_json, efg_to_json
 from fosg.timing import (Timing, find_exact_timing, normalize_labels, pad_to_1_timeable,
                          validate_timing, verify_witness, witness_nodes)
 from fosg.unroll import ClassicalEFG, EfgNode, same_classical
@@ -253,3 +256,77 @@ def test_witness_for_edge_inside_one_infoset():
     assert timing is None
     assert verify_witness(efg, witness)
     assert witness[0][0] == "edge"
+
+
+# --- classical-tree loader ---
+
+
+def _tree_by_names(efg):
+    """Each node's parent, action, actor, payoff and children, all named; and the cells."""
+    names = [n.name for n in efg.nodes]
+    tree = {}
+    for n in efg.nodes:
+        assert n.parent is None or n.parent < n.id
+        assert set(n.actions) == set(n.children)
+        tree[n.name] = (None if n.parent is None else names[n.parent], n.incoming_action,
+                        n.actor, n.depth, n.utilities, n.chance_dist,
+                        {a: names[c] for a, c in n.children.items()})
+    cells = {p: {frozenset(names[m] for m in cell) for cell in per.values()}
+             for p, per in efg.infosets.items()}
+    return tree, cells
+
+
+@pytest.mark.parametrize("build", [
+    fosg.nontimeable_fixture,
+    lambda: fosg.forget_nonacting(fosg.unroll(fosg.kuhn_poker())),
+    lambda: pad_to_1_timeable(*fosg.padding_chain(8)),
+])
+def test_efg_loader_accepts_nodes_in_any_order(build):
+    doc = efg_to_json(build())
+    in_order = efg_from_json(doc)
+    assert [n.name for n in in_order.nodes] == [entry["id"] for entry in doc["nodes"]]
+    expected = _tree_by_names(in_order)
+    orders = [doc["nodes"][::-1]]
+    for seed in range(3):
+        shuffled = list(doc["nodes"])
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    for entries in orders:
+        assert _tree_by_names(efg_from_json(dict(doc, nodes=entries))) == expected
+
+
+def _nontimeable_doc():
+    return efg_to_json(fosg.nontimeable_fixture())
+
+
+def _entry(doc, name):
+    return next(entry for entry in doc["nodes"] if entry["id"] == name)
+
+
+def test_efg_loader_rejects_a_second_child_under_one_action():
+    doc = _nontimeable_doc()
+    _entry(doc, "h-d")["action"] = "c"
+    with pytest.raises(InvalidArgument, match="'h-d' is a second child of 'h' under action 'c'"):
+        efg_from_json(doc)
+
+
+def test_efg_loader_rejects_a_repeated_node_name():
+    doc = _nontimeable_doc()
+    _entry(doc, "g'-b")["id"] = "g'-a"
+    with pytest.raises(InvalidArgument, match="node name \"g'-a\" occurs twice"):
+        efg_from_json(doc)
+
+
+def test_efg_loader_rejects_a_second_root():
+    doc = _nontimeable_doc()
+    _entry(doc, "g'-b")["parent"] = None
+    with pytest.raises(InvalidArgument, match="node \"g'-b\" is a second root"):
+        efg_from_json(doc)
+
+
+@pytest.mark.parametrize("name, parent", [("g'", "nowhere"), ("g", "h")])
+def test_efg_loader_rejects_orphans_and_cycles(name, parent):
+    doc = _nontimeable_doc()
+    _entry(doc, name)["parent"] = parent
+    with pytest.raises(InvalidArgument, match="orphans or cycles"):
+        efg_from_json(doc)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
-from fosg.errors import (DepthExceeded, ImperfectRecall, InvalidArgument, NotSerial,
+from fosg.errors import (DepthExceeded, FosgError, ImperfectRecall, InvalidArgument, NotSerial,
                          ThickPublicSets)
 from fosg.model import NOOP, public_projection
-from fosg.unroll import (ClassicalEFG, EfgNode, ExtensiveFormRep, HistoryNode, posg_policy,
-                         reps_isomorphic, same_classical, thick_public_set_witness)
+from fosg.unroll import (ClassicalEFG, EfgNode, ExtensiveFormRep, HistoryNode, add_efg_node,
+                         posg_policy, reps_isomorphic, same_classical, thick_public_set_witness)
 
 import oracles
+from test_model import with_entry
 
 
 def test_kuhn_counts(kuhn_rep):
@@ -182,6 +183,54 @@ def test_unroll_rejects_inhomogeneous_infosets_like_the_reference(y_actor, y_act
     with pytest.raises(ValueError) as got:
         fosg.unroll(spec)
     assert str(got.value) == str(expected.value)
+
+
+def _typed_error_cases():
+    """Zero-argument calls that each hit one former bare raise, with its type and message."""
+    from fosg.io import efg_from_json, efg_to_json, sniff_format, spec_from_json, spec_to_json
+    from fosg.model import (acting_infostates, expected_utilities, merge_chance,
+                            sample_chance_action, uniform_spec_policy)
+
+    kuhn, chance = fosg.kuhn_poker(), fosg.kuhn_poker_chance_variant()
+    deal_jk = ("deal", ("JK", NOOP, NOOP))
+    # Dealing JK moves to JQ's state too, but shows player 2 a K there.
+    merged_obs = with_entry(with_entry(chance, "transitions", deal_jk, {"JQ:": 1.0}),
+                            "observations", deal_jk + ("JQ:",),
+                            fosg.FactoredObservation(("J", "K"), "dealt"))
+    scaled = spec_to_json(kuhn)
+    for entry in scaled["transitions"]:
+        entry["prob"] *= 1.001
+    orphan = efg_to_json(fosg.nontimeable_fixture())
+    orphan["nodes"][1]["parent"] = "nowhere"
+    no_deal = {"JQ": 0.0, "JK": 0.0}
+    return [
+        (lambda: fosg.unroll(_two_branch_spec((), ())), InvalidArgument, "mixes acting"),
+        (lambda: fosg.unroll(_two_branch_spec((1,), ("a", "b"))), InvalidArgument,
+         "mixes legal action sets"),
+        (lambda: merge_chance(merged_obs), InvalidArgument, "ambiguous observation"),
+        (lambda: merge_chance(with_entry(chance, "rewards", ("deal", ("JQ", NOOP, NOOP)),
+                                         (0.0, 0.0))), InvalidArgument, "ambiguous reward"),
+        (lambda: acting_infostates(_two_branch_spec((1,), ("a", "b"))), InvalidArgument,
+         "ambiguous legal actions"),
+        (lambda: acting_infostates(kuhn, depth_bound=1), DepthExceeded, "depth bound 1"),
+        (lambda: expected_utilities(kuhn, uniform_spec_policy(kuhn), depth_bound=1),
+         DepthExceeded, "depth bound 1"),
+        (lambda: sample_chance_action(with_entry(chance, "chance_policy", "deal", no_deal),
+                                      "deal", random.Random(0)), InvalidArgument, "all-zero"),
+        (lambda: fosg.padding_chain(1), InvalidArgument, "n >= 2"),
+        (lambda: spec_from_json(scaled), InvalidArgument, "sums to"),
+        (lambda: efg_from_json(orphan), InvalidArgument, "orphans or cycles"),
+        (lambda: sniff_format({}), InvalidArgument, "unrecognized game document"),
+        (lambda: spec_to_json(dataclasses.replace(kuhn, states=kuhn.states + ("a/b",))),
+         InvalidArgument, "reserved separator"),
+    ]
+
+
+def test_argument_and_depth_errors_are_fosg_errors():
+    for call, error, message in _typed_error_cases():
+        with pytest.raises(error, match=message) as raised:
+            call()
+        assert isinstance(raised.value, FosgError)
 
 
 def test_unroll_memory_per_node():
@@ -433,6 +482,69 @@ def test_lift_single_node():
     lifted = fosg.lift_to_fosg(rep)
     assert len(lifted.states) == 1
     assert lifted.is_terminal(lifted.initial_state)
+
+
+def _decision_rooted_tree():
+    """Player 1 moves first; left, player 2 answers; right, chance picks player 2's node."""
+    nodes = []
+    root = add_efg_node(nodes, "root", None, None, 1)
+    left = add_efg_node(nodes, "left", root, "l", 2)
+    add_efg_node(nodes, "left-a", left, "a", -1, utilities=(1.0, -1.0))
+    add_efg_node(nodes, "left-b", left, "b", -1, utilities=(-2.0, 2.0))
+    deal = add_efg_node(nodes, "deal", root, "r", 0, chance_dist={"o1": 0.25, "o2": 0.75})
+    for outcome, payoffs in (("o1", (0.5, 3.0)), ("o2", (-1.5, 4.0))):
+        node = add_efg_node(nodes, f"right-{outcome}", deal, outcome, 2)
+        for action, u in zip("ab", payoffs):
+            add_efg_node(nodes, f"right-{outcome}-{action}", node, action, -1,
+                         utilities=(u, -u))
+    infosets = {1: {"I": (root,)},
+                2: {f"J{n.id}": (n.id,) for n in nodes if n.actor == 2}}
+    return ClassicalEFG(num_players=2, nodes=nodes, infosets=infosets)
+
+
+def _uniform_value(efg, nid=0):
+    node = efg.nodes[nid]
+    if node.utilities is not None:
+        return node.utilities
+    weights = node.chance_dist or {a: 1 / len(node.actions) for a in node.actions}
+    values = [(weights[a], _uniform_value(efg, node.children[a])) for a in node.actions]
+    return tuple(sum(w * v[i] for w, v in values) for i in range(efg.num_players))
+
+
+def test_lift_of_a_decision_rooted_tree_prepends_a_playerless_root():
+    efg = _decision_rooted_tree()
+    rep = fosg.augment_classical(efg)
+    lifted = fosg.lift_to_fosg(rep)
+    assert fosg.validate(lifted) == []
+    unrolled = fosg.unroll(lifted)
+    init = unrolled.root
+    assert (init.world_state, init.actor, init.chance_dist) == ("h-init", 0, {"h0": 1.0})
+    assert unrolled.nodes[init.children["h0"]].world_state == "h0"
+    # Below h-init the unrolled lift is the classical tree, node for node.
+    image = {int(n.world_state[1:]): n for n in unrolled.nodes[1:]}
+    assert sorted(image) == list(range(len(efg.nodes)))
+    for node in efg.nodes:
+        got = image[node.id]
+        assert got.actor == node.actor
+        assert got.depth == node.depth + 1
+        parent = image[node.parent].id if node.parent is not None else init.id
+        assert got.parent == parent
+        assert got.cumulative_reward == (node.utilities or (0.0, 0.0))
+        if node.actor == 0:
+            assert got.chance_dist == {f"h{node.children[a]}": p
+                                       for a, p in node.chance_dist.items()}
+        else:
+            assert {a: unrolled.nodes[c].world_state for a, c in got.children.items()} == \
+                {a: f"h{c}" for a, c in node.children.items()}
+    for player in efg.players:
+        cells = {frozenset(int(unrolled.nodes[m].world_state[1:]) for m in members)
+                 for members in unrolled.acting_infosets(player).values()}
+        assert cells == {frozenset(members) for members in efg.infosets[player].values()}
+    uniform = fosg.model.expected_utilities(lifted, fosg.model.uniform_spec_policy(lifted))
+    assert uniform == pytest.approx(_uniform_value(efg), abs=1e-12)
+    assert uniform[0] != 0.0
+    # The playerless root has no counterpart in the classical tree.
+    assert not reps_isomorphic(rep, unrolled)
 
 
 def test_lift_rejects_thick_public_sets(kuhn_rep):
