@@ -23,10 +23,6 @@ from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
 
 Game = Union[ExtensiveFormRep, ClassicalEFG]
 
-KIND_TERMINAL = 0
-KIND_CHANCE = 1
-KIND_DECISION = 2
-
 # Spare frames a walk keeps below the recursion limit.
 WALK_FRAME_MARGIN = 8
 
@@ -41,9 +37,18 @@ class _Iset:
 
 
 class SolverTree:
-    """Flattened tree with per-edge reward vectors shared by all solvers."""
+    """Flattened tree with per-edge reward vectors shared by all solvers.
 
-    __slots__ = ("num_players", "kind", "owner", "iset_index", "kids", "isets",
+    ``actor[nid]`` is the node's actor: ``CHANCE_ACTOR`` (0), a player 1..n,
+    or ``TERMINAL_ACTOR``. ``kids[nid]`` lists a non-terminal node's edges as
+    ``(child, reward vector)`` in action order (None at terminals), and
+    ``chance[nid]`` a chance node's probabilities in the same order (None
+    elsewhere), so ``chance[nid] or policies[iset_index[nid]]`` is the
+    distribution a node plays. Reach vectors are indexed by actor: chance
+    first, then the players.
+    """
+
+    __slots__ = ("num_players", "actor", "chance", "iset_index", "kids", "isets",
                  "iset_lookup", "zero_sum_gap", "height", "game", "_sequence_sets")
 
     def __init__(self, game: Game):
@@ -52,23 +57,23 @@ class SolverTree:
         self.num_players = n
         nodes = game.nodes
         count = len(nodes)
-        self.kind = [KIND_TERMINAL] * count
-        self.owner = [0] * count
+        self.actor = [node.actor for node in nodes]
+        self.chance: List[Optional[Tuple[float, ...]]] = [None] * count
         self.iset_index = [-1] * count
         self.kids: List[Optional[tuple]] = [None] * count
         self.isets: List[_Iset] = []
         self.iset_lookup: Dict[Tuple[int, Hashable], int] = {}
 
+        zeros = (0.0,) * n
         if isinstance(game, ExtensiveFormRep):
-            def edge_reward(child):
-                return game.edge_reward(child)
-
+            edge_reward = game.edge_reward
             acting = {p: game.acting_infosets(p) for p in game.players}
         else:
+            # A classical leaf without utilities pays nothing.
             def edge_reward(child):
-                if child.actor == TERMINAL_ACTOR:
+                if child.actor == TERMINAL_ACTOR and child.utilities is not None:
                     return child.utilities
-                return tuple(0.0 for _ in range(n))
+                return zeros
 
             acting = {p: game.infosets[p] for p in game.players}
 
@@ -84,26 +89,19 @@ class SolverTree:
         gap = 0.0
         for node in nodes:
             if node.actor == TERMINAL_ACTOR:
-                util = node.cumulative_reward if isinstance(game, ExtensiveFormRep) \
-                    else (node.utilities or tuple(0.0 for _ in range(n)))
                 if n == 2:
+                    util = node.cumulative_reward if isinstance(game, ExtensiveFormRep) \
+                        else edge_reward(node)
                     gap = max(gap, abs(util[0] + util[1]))
                 continue
             if node.actor == CHANCE_ACTOR:
-                self.kind[node.id] = KIND_CHANCE
-                self.kids[node.id] = tuple(
-                    (node.chance_dist[label], node.children[label],
-                     edge_reward(nodes[node.children[label]]))
-                    for label in node.actions)
-            else:
-                if self.iset_index[node.id] < 0:
-                    raise InvalidArgument(f"decision node {node.id} of player {node.actor} "
-                                          "belongs to no infoset of its actor")
-                self.kind[node.id] = KIND_DECISION
-                self.owner[node.id] = node.actor
-                self.kids[node.id] = tuple(
-                    (node.children[label], edge_reward(nodes[node.children[label]]))
-                    for label in node.actions)
+                self.chance[node.id] = tuple(node.chance_dist[label] for label in node.actions)
+            elif self.iset_index[node.id] < 0:
+                raise InvalidArgument(f"decision node {node.id} of player {node.actor} "
+                                      "belongs to no infoset of its actor")
+            self.kids[node.id] = tuple(
+                (node.children[label], edge_reward(nodes[node.children[label]]))
+                for label in node.actions)
         self.zero_sum_gap = gap
         self.height = max(node.depth for node in nodes)
         self._sequence_sets: Dict[int, Tuple[SequenceSet, List[int]]] = {}
@@ -178,61 +176,52 @@ class ReachTable:
 
 
 def _reach_pass(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
-                seeds: Mapping[int, Tuple[float, Sequence[float]]],
-                stop: Collection[int] = (),
-                ) -> Tuple[List[float], List[List[float]]]:
-    """Top-down chance and per-player reaches below a seeded forest.
+                seeds: Mapping[int, Sequence[float]], stop: Collection[int] = (),
+                ) -> List[List[float]]:
+    """Top-down reaches of every actor below a seeded forest.
 
-    ``seeds`` maps each root of the forest to its (chance reach, per-player
-    reach vector); the pass does not descend below nodes in ``stop``. Returns
-    the chance reach and, per player in order, that player's own reach of
-    every node; nodes the pass does not reach keep 0.0.
+    ``seeds`` maps each root of the forest to its reach vector (chance, player
+    1, ..., player n); the pass does not descend below nodes in ``stop``.
+    Returns one reach list per actor, indexed like the vectors; nodes the pass
+    does not reach keep 0.0.
     """
-    count = len(tree.kind)
-    chance = [0.0] * count
-    player = [[0.0] * count for _ in range(tree.num_players)]
-    for nid, (pc, pp) in seeds.items():
-        chance[nid] = pc
-        for reaches, value in zip(player, pp):
+    actor, kids, chance, iset_index = tree.actor, tree.kids, tree.chance, tree.iset_index
+    reach = [[0.0] * len(actor) for _ in range(tree.num_players + 1)]
+    for nid, vector in seeds.items():
+        for reaches, value in zip(reach, vector):
             reaches[nid] = value
     stack = sorted(seeds)
     while stack:
         nid = stack.pop()
-        kind = tree.kind[nid]
-        if kind == KIND_TERMINAL or nid in stop:
+        if actor[nid] == TERMINAL_ACTOR or nid in stop:
             continue
-        if kind == KIND_CHANCE:
-            for prob, child, _rew in tree.kids[nid]:
-                chance[child] = chance[nid] * prob
-                for reaches in player:
-                    reaches[child] = reaches[nid]
-                stack.append(child)
-        else:
-            sigma = policies[tree.iset_index[nid]]
-            own = player[tree.owner[nid] - 1]
-            for k, (child, _rew) in enumerate(tree.kids[nid]):
-                chance[child] = chance[nid]
-                for reaches in player:
-                    reaches[child] = reaches[nid]
-                own[child] = own[nid] * sigma[k]
-                stack.append(child)
-    return chance, player
+        own = reach[actor[nid]]
+        for prob, (child, _rew) in zip(chance[nid] or policies[iset_index[nid]], kids[nid]):
+            for reaches in reach:
+                reaches[child] = reaches[nid]
+            own[child] = own[nid] * prob
+            stack.append(child)
+    return reach
 
 
 def reach_probabilities(rep: ExtensiveFormRep, profile: PolicyProfile,
-                        seeds: Optional[Dict[int, Tuple[float, Tuple[float, ...]]]] = None,
+                        seeds: Optional[Mapping[int, Sequence[float]]] = None,
                         *, tree: Optional[SolverTree] = None) -> ReachTable:
     """Single top-down pass filling chance, per-player, and counterfactual reaches.
 
     ``seeds`` optionally replaces the root initialization: a map from node id
-    to (chance reach, per-player reach vector) for the roots of a forest.
-    ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
+    to reach vector (chance, player 1, ..., player n) for the roots of a
+    forest. ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
     """
     tree = tree or SolverTree(rep)
     players = rep.players
     if seeds is None:
-        seeds = {0: (1.0, tuple(1.0 for _ in players))}
-    chance, reaches = _reach_pass(tree, tree.policies_from_profile(profile), seeds)
+        seeds = {0: (1.0,) * (len(players) + 1)}
+    for nid, vector in seeds.items():
+        if len(vector) != len(players) + 1:
+            raise InvalidArgument(f"seed of node {nid} has {len(vector)} reaches; "
+                                  f"expected {len(players) + 1} (chance, then each player)")
+    chance, *reaches = _reach_pass(tree, tree.policies_from_profile(profile), seeds)
     player = dict(zip(players, reaches))
     counterfactual = {p: [prod((player[q][nid] for q in players if q != p), start=chance[nid])
                           for nid in range(len(rep.nodes))] for p in players}
@@ -258,30 +247,23 @@ def _node_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]]
                  order: Sequence[int]) -> List[Tuple[float, ...]]:
     """Bottom-up future-reward vector of every node in ``order`` under fixed policies.
 
-    ``order`` lists parents before children: ``range(len(tree.kind))`` for
+    ``order`` lists parents before children: ``range(len(tree.actor))`` for
     the whole tree (ids list parents first), or the visit order of a seeded
     forest. Nodes outside it read zero.
     """
     n = tree.num_players
     players = range(n)
     zeros = (0.0,) * n
-    kinds, kids, iset_index = tree.kind, tree.kids, tree.iset_index
-    values: List[Tuple[float, ...]] = [zeros] * len(kinds)
+    actor, kids, chance, iset_index = tree.actor, tree.kids, tree.chance, tree.iset_index
+    values: List[Tuple[float, ...]] = [zeros] * len(actor)
     for nid in reversed(order):
-        kind = kinds[nid]
-        if kind == KIND_TERMINAL:
+        if actor[nid] == TERMINAL_ACTOR:
             continue
         acc = [0.0] * n
-        if kind == KIND_CHANCE:
-            for prob, child, rew in kids[nid]:
-                sub = values[child]
-                for i in players:
-                    acc[i] += prob * (rew[i] + sub[i])
-        else:
-            for prob, (child, rew) in zip(policies[iset_index[nid]], kids[nid]):
-                sub = values[child]
-                for i in players:
-                    acc[i] += prob * (rew[i] + sub[i])
+        for prob, (child, rew) in zip(chance[nid] or policies[iset_index[nid]], kids[nid]):
+            sub = values[child]
+            for i in players:
+                acc[i] += prob * (rew[i] + sub[i])
         values[nid] = tuple(acc)
     return values
 
@@ -298,12 +280,12 @@ def expected_values(rep: Game, profile: PolicyProfile,
     a prebuilt ``SolverTree`` of ``rep``.
     """
     tree = tree or SolverTree(rep)
-    values = _node_values(tree, tree.policies_from_profile(profile), range(len(tree.kind)))
+    values = _node_values(tree, tree.policies_from_profile(profile), range(len(tree.actor)))
     n = tree.num_players
     players = tuple(range(1, n + 1))
     node_q: Dict[int, Dict[str, Tuple[float, ...]]] = {}
     for nid, kids in enumerate(tree.kids):
-        if tree.kind[nid] == KIND_DECISION:
+        if tree.actor[nid] > CHANCE_ACTOR:
             actions = tree.isets[tree.iset_index[nid]].actions
             node_q[nid] = {actions[k]: tuple(rew[i] + values[child][i] for i in range(n))
                            for k, (child, rew) in enumerate(kids)}
@@ -343,7 +325,7 @@ def game_value(game: Game, profile: PolicyProfile,
                *, tree: Optional[SolverTree] = None) -> Tuple[float, ...]:
     """Expected utility vector of a profile (root future value)."""
     tree = tree or SolverTree(game)
-    return _node_values(tree, tree.policies_from_profile(profile), range(len(tree.kind)))[0]
+    return _node_values(tree, tree.policies_from_profile(profile), range(len(tree.actor)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +389,12 @@ class CfrState:
             if only_player is None or s.owner == only_player:
                 self.policies[s.index] = regret_matching(self.regrets[s.index])
 
-    def walk(self, nid: int, reach_c: float, reach_p: List[float],
-             update_player: Optional[int] = None,
+    def walk(self, nid: int, reach: List[float], update_player: Optional[int] = None,
              boundary: Optional[Dict[int, Sequence[float]]] = None) -> List[float]:
         """One traversal accumulating regrets and strategy sums.
 
+        ``reach`` is the node's reach vector (chance, player 1, ..., player
+        n); the walk changes entries while it descends and restores them.
         ``update_player`` limits updates to one player's infostates (for the
         alternating schedule); ``boundary`` replaces whole subtrees by fixed
         future-value vectors.
@@ -421,42 +404,42 @@ class CfrState:
             fixed = boundary.get(nid)
             if fixed is not None:
                 return fixed
-        kind = tree.kind[nid]
+        actor = tree.actor[nid]
         n = tree.num_players
-        if kind == KIND_TERMINAL:
+        if actor == TERMINAL_ACTOR:
             return self._zeros
         walk = self.walk
-        if kind == KIND_CHANCE:
-            vals = [0.0] * n
-            for prob, child, rew in tree.kids[nid]:
+        kids = tree.kids[nid]
+        vals = [0.0] * n
+        saved = reach[actor]
+        if actor == CHANCE_ACTOR:  # skips impossible outcomes and updates nothing
+            for prob, (child, rew) in zip(tree.chance[nid], kids):
                 if prob == 0.0:
                     continue
-                sub = walk(child, reach_c * prob, reach_p, update_player, boundary)
+                reach[actor] = saved * prob
+                sub = walk(child, reach, update_player, boundary)
                 for i in range(n):
                     vals[i] += prob * (rew[i] + sub[i])
+            reach[actor] = saved
             return vals
         s = tree.iset_index[nid]
         sigma = self.policies[s]
-        owner = tree.owner[nid]
-        ow = owner - 1
-        kids = tree.kids[nid]
-        vals = [0.0] * n
+        ow = actor - 1
         qs = []
-        saved = reach_p[ow]
         for k, (child, rew) in enumerate(kids):
             prob = sigma[k]
-            reach_p[ow] = saved * prob
-            sub = walk(child, reach_c, reach_p, update_player, boundary)
+            reach[actor] = saved * prob
+            sub = walk(child, reach, update_player, boundary)
             q_own = rew[ow] + sub[ow]
             qs.append(q_own)
             for i in range(n):
                 vals[i] += prob * (rew[i] + sub[i])
-        reach_p[ow] = saved
-        if update_player is None or update_player == owner:
-            cf = reach_c
-            for j in range(n):
-                if j != ow:
-                    cf *= reach_p[j]
+        reach[actor] = saved
+        if update_player is None or update_player == actor:
+            cf = reach[CHANCE_ACTOR]
+            for j in range(1, n + 1):
+                if j != actor:
+                    cf *= reach[j]
             regret = self.regrets[s]
             ssum = self.strategy_sum[s]
             v_own = vals[ow]
@@ -516,18 +499,18 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
     trace: List[TracePoint] = []
     policies_log: List[PolicyProfile] = []
     start = time.perf_counter()
-    ones = [1.0] * tree.num_players
+    root = [1.0] * (tree.num_players + 1)
     for t in range(iterations):
         state.refresh_policies()
         if record_policies:
             policies_log.append(tree.profile_from_policies([list(p) for p in state.policies]))
         if mode == "simultaneous":
-            state.walk(0, 1.0, list(ones))
+            state.walk(0, list(root))
         else:
             # Each later player walks against the policies the earlier ones
             # just updated.
             for p in range(1, tree.num_players + 1):
-                state.walk(0, 1.0, list(ones), update_player=p)
+                state.walk(0, list(root), update_player=p)
                 state.refresh_policies(only_player=p)
         state.iterations = t + 1
         if trace_stride and ((t + 1) % trace_stride == 0 or t + 1 == iterations):
@@ -547,12 +530,12 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
 
 
 def response_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
-                    player: int, seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
+                    player: int, seeds: Mapping[int, Sequence[float]],
                     ) -> Tuple[float, Dict[int, int], List[int]]:
     """Best response of one player below a seeded forest, over the player's sequences.
 
-    ``seeds`` maps each entry node to its (chance reach, per-player reach
-    vector); the whole game is the forest ``{0: (1.0, (1.0, ...))}``. Chance
+    ``seeds`` maps each entry node to its reach vector (chance, player 1, ...,
+    player n); the whole game is the forest ``{0: (1.0, 1.0, ...)}``. Chance
     and opponents follow ``policies`` (the responder's entries are not read).
     One pass down the forest weights each node by chance times the opponents'
     reach and adds every edge's weighted reward into the responder's last
@@ -564,32 +547,26 @@ def response_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float
     """
     idx = player - 1
     seqs, last = tree.sequences(player)
-    kind, owner, kids, iset_index = tree.kind, tree.owner, tree.kids, tree.iset_index
+    actor, kids, chance, iset_index = tree.actor, tree.kids, tree.chance, tree.iset_index
     value = [0.0] * len(seqs)
     reached = set()
     order: List[int] = []
-    stack = [(h, prod((reach for j, reach in enumerate(pp) if j != idx), start=pc))
-             for h, (pc, pp) in seeds.items()]
+    stack = [(h, prod(reach for a, reach in enumerate(vector) if a != player))
+             for h, vector in seeds.items()]
     while stack:
         nid, weight = stack.pop()
         order.append(nid)
-        node_kind = kind[nid]
-        if node_kind == KIND_TERMINAL:
+        if actor[nid] == TERMINAL_ACTOR:
             continue
-        if node_kind == KIND_CHANCE:
-            for prob, child, rew in kids[nid]:
-                w = weight * prob
-                value[last[child]] += w * rew[idx]
-                stack.append((child, w))
-        else:  # the responder's edges keep the weight
-            own = owner[nid] == player
-            if own:
-                reached.add(iset_index[nid])
-            probs = repeat(1.0) if own else policies[iset_index[nid]]
-            for prob, (child, rew) in zip(probs, kids[nid]):
-                w = weight * prob
-                value[last[child]] += w * rew[idx]
-                stack.append((child, w))
+        if actor[nid] == player:  # the responder's edges keep the weight
+            reached.add(iset_index[nid])
+            probs = repeat(1.0)
+        else:
+            probs = chance[nid] or policies[iset_index[nid]]
+        for prob, (child, rew) in zip(probs, kids[nid]):
+            w = weight * prob
+            value[last[child]] += w * rew[idx]
+            stack.append((child, w))
 
     choice: Dict[int, int] = {}
     for key, parent, children in reversed(seqs.infoset_rows):
@@ -617,7 +594,7 @@ def best_response(game: Game, profile: PolicyProfile, player: int,
     """
     tree = tree or SolverTree(game)
     policies = tree.policies_from_profile(profile, responder=player)
-    root = {0: (1.0, (1.0,) * tree.num_players)}
+    root = {0: (1.0,) * (tree.num_players + 1)}
     value, choice, _order = response_values(tree, policies, player, root)
     return {tree.isets[i].key: tree.isets[i].actions[k] for i, k in choice.items()}, value
 

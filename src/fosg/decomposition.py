@@ -395,26 +395,25 @@ class _Leaves:
         return _Leaves(keys=keys, entries=entries, entry_set=frozenset(entries), isets=isets)
 
     def seeds(self, tree: SolverTree, policies: Sequence[Sequence[float]],
-              ) -> Dict[int, Tuple[float, Tuple[float, ...]]]:
-        """Chance and per-player reaches of every entry under the trunk policy."""
-        root = {0: (1.0, (1.0,) * tree.num_players)}
-        chance, player = _reach_pass(tree, policies, root, stop=self.entry_set)
-        return {h: (chance[h], tuple(reaches[h] for reaches in player)) for h in self.entries}
+              ) -> Dict[int, Tuple[float, ...]]:
+        """The reach vector (chance, player 1, ...) of every entry under the trunk policy."""
+        root = {0: (1.0,) * (tree.num_players + 1)}
+        reach = _reach_pass(tree, policies, root, stop=self.entry_set)
+        return {h: tuple(reaches[h] for reaches in reach) for h in self.entries}
 
-    def solve(self, tree: SolverTree, seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
+    def solve(self, tree: SolverTree, seeds: Mapping[int, Sequence[float]],
               budget: int) -> CfrState:
         """``budget`` rounds of regret matching in place, with range-substituted reaches."""
         state = CfrState(tree)
         for _ in range(budget):
             state.refresh_policies(indices=self.isets)
             for h in self.entries:
-                pc, pp = seeds[h]
-                state.walk(h, pc, list(pp))
+                state.walk(h, list(seeds[h]))
         return state
 
 
 def _boundary_values(tree: SolverTree, solved: Sequence[Optional[List[float]]],
-                     seeds: Mapping[int, Tuple[float, Tuple[float, ...]]],
+                     seeds: Mapping[int, Sequence[float]],
                      ) -> Dict[int, List[float]]:
     """Per-entry value vectors for the trunk update, one pass per player over all leaves.
 
@@ -498,7 +497,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
             boundary = solve_all(leaves.seeds(tree, state.policies))
         else:
             boundary = None
-        state.walk(0, 1.0, [1.0] * tree.num_players, boundary=boundary)
+        state.walk(0, [1.0] * (tree.num_players + 1), boundary=boundary)
         state.refresh_policies(indices=trunk_isets)
         for idx in trunk_isets:
             sums = policy_sum[idx]

@@ -753,28 +753,26 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
         raise ImperfectRecall(f"classical tree lacks perfect recall: {witness!r}")
 
     labels_of = {p: efg.infoset_of(p) for p in efg.players}
+    count = len(efg.nodes)
     keys: Dict[int, List[Hashable]] = {}
     for p in efg.players:
-        per_node: List[Hashable] = [None] * len(efg.nodes)
-        anchored: List[bool] = [False] * len(efg.nodes)
+        per_node: List[Hashable] = [None] * count
+        # Per node: the key of its nearest labelled ancestor-or-self and the distance to it.
+        anchor: List[Hashable] = [None] * count
+        dist = [0] * count
         for node in efg.nodes:  # ids are topologically ordered (parents first)
             parent = efg.nodes[node.parent] if node.parent is not None else None
             if node.actor == p:
-                per_node[node.id] = ("dec", labels_of[p][node.id])
-                anchored[node.id] = True
+                per_node[node.id] = anchor[node.id] = ("dec", labels_of[p][node.id])
             elif parent is not None and parent.actor == p:
-                per_node[node.id] = ("post", labels_of[p][parent.id], node.incoming_action)
-                anchored[node.id] = True
+                per_node[node.id] = anchor[node.id] = \
+                    ("post", labels_of[p][parent.id], node.incoming_action)
             elif parent is None:
-                per_node[node.id] = ("root",)
-                anchored[node.id] = True
+                per_node[node.id] = anchor[node.id] = ("root",)
             else:
-                base = parent
-                dist = 1
-                while not anchored[base.id]:
-                    base = efg.nodes[base.parent]
-                    dist += 1
-                per_node[node.id] = ("dist", per_node[base.id], dist)
+                anchor[node.id] = anchor[parent.id]
+                dist[node.id] = dist[parent.id] + 1
+                per_node[node.id] = ("dist", anchor[node.id], dist[node.id])
         keys[p] = per_node
     return _augmented(efg, keys)
 

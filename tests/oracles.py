@@ -4,8 +4,9 @@ Everything here is deliberately naive: plain enumeration over terminals,
 exhaustive search over pure policies, a hand-rolled Kuhn settlement, the
 row-by-row Bland's-rule simplex the vectorized kernel must match pivot for
 pivot, the per-node unroller the step-table one must match node for node,
-the root-path perfect-recall check the one-step rules must agree with, and
-the node-ordered best response the pass over sequences must agree with.
+the walk-up labels the one-step augmentation must match, the root-path
+perfect-recall check the one-step rules must agree with, and the
+node-ordered best response the pass over sequences must agree with.
 None of it shares code with the solvers it cross-checks; the best-response
 reference reads the same compiled ``SolverTree``.
 """
@@ -17,7 +18,6 @@ from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 import numpy as np
 
 import fosg
-from fosg.cfr import KIND_CHANCE, KIND_DECISION, KIND_TERMINAL
 from fosg.errors import (DepthExceeded, ImperfectRecall, Infeasible, NotSerial, PivotLimit,
                          Unbounded)
 from fosg.model import GameSpec, InfoKey, advance_keys, is_serial, merge_chance
@@ -452,6 +452,43 @@ def forget_nonacting_reference(rep: ExtensiveFormRep) -> ClassicalEFG:
     return ClassicalEFG(num_players=rep.num_players, nodes=nodes, infosets=infosets)
 
 
+# --- the walk-up augmentation labels ---
+
+
+def augment_keys_reference(efg: ClassicalEFG) -> Dict[int, List[Hashable]]:
+    """The per-player node labels of ``fosg.augment_classical`` by walking up, verbatim.
+
+    A node that is not labelled by its own decision, its parent's decision or
+    the root walks up to its nearest labelled ancestor and takes that label
+    plus the distance.
+    """
+    labels_of = {p: efg.infoset_of(p) for p in efg.players}
+    keys: Dict[int, List[Hashable]] = {}
+    for p in efg.players:
+        per_node: List[Hashable] = [None] * len(efg.nodes)
+        anchored: List[bool] = [False] * len(efg.nodes)
+        for node in efg.nodes:  # ids are topologically ordered (parents first)
+            parent = efg.nodes[node.parent] if node.parent is not None else None
+            if node.actor == p:
+                per_node[node.id] = ("dec", labels_of[p][node.id])
+                anchored[node.id] = True
+            elif parent is not None and parent.actor == p:
+                per_node[node.id] = ("post", labels_of[p][parent.id], node.incoming_action)
+                anchored[node.id] = True
+            elif parent is None:
+                per_node[node.id] = ("root",)
+                anchored[node.id] = True
+            else:
+                base = parent
+                dist = 1
+                while not anchored[base.id]:
+                    base = efg.nodes[base.parent]
+                    dist += 1
+                per_node[node.id] = ("dist", per_node[base.id], dist)
+        keys[p] = per_node
+    return keys
+
+
 # --- the root-path perfect-recall check ---
 
 
@@ -532,18 +569,18 @@ def response_order_reference(tree, player: int) -> List[int]:
         if s.owner == player and len({last_own[m] for m in s.members}) > 1:
             raise ImperfectRecall(
                 f"player {player} has no perfect recall at infostate {s.key!r}")
-    count = len(tree.kind)
+    count = len(tree.actor)
     parent: List[Optional[int]] = [None] * count
     unit = list(range(count))
     pending: Dict[int, int] = {}  # per entry: child edges whose entries are not placed yet
     for nid, kids in enumerate(tree.kids):
         if kids is None:
             continue
-        if tree.kind[nid] == KIND_DECISION and tree.owner[nid] == player:
+        if tree.actor[nid] == player:
             unit[nid] = ~tree.iset_index[nid]
         pending[unit[nid]] = pending.get(unit[nid], 0) + len(kids)
-        for kid in kids:  # (child, reward), led by the probability on chance edges
-            parent[kid[-2]] = nid
+        for child, _rew in kids:
+            parent[child] = nid
     ready = [nid for nid in range(count) if tree.kids[nid] is None]
     order = []
     while ready:
@@ -567,9 +604,9 @@ def response_values_reference(tree, policies, player: int, seeds,
     and the chosen action index per infoset reached.
     """
     idx = player - 1
-    kind, owner, kids, iset_index = tree.kind, tree.owner, tree.kids, tree.iset_index
-    cf: List[Optional[float]] = [None] * len(kind)
-    for h, (pc, pp) in seeds.items():
+    actor, chance, kids, iset_index = tree.actor, tree.chance, tree.kids, tree.iset_index
+    cf: List[Optional[float]] = [None] * len(actor)
+    for h, (pc, *pp) in seeds.items():
         weight = pc
         for j, reach in enumerate(pp):
             if j != idx:
@@ -578,21 +615,20 @@ def response_values_reference(tree, policies, player: int, seeds,
     stack = list(seeds)
     while stack:
         nid = stack.pop()
-        node_kind = kind[nid]
-        if node_kind == KIND_TERMINAL:
+        if actor[nid] == TERMINAL_ACTOR:
             continue
         weight = cf[nid]
-        if node_kind == KIND_CHANCE:
-            for prob, child, _rew in kids[nid]:
+        if actor[nid] == CHANCE_ACTOR:
+            for prob, (child, _rew) in zip(chance[nid], kids[nid]):
                 cf[child] = weight * prob
                 stack.append(child)
         else:
             sigma = policies[iset_index[nid]]
             for k, (child, _rew) in enumerate(kids[nid]):
-                cf[child] = weight * (1.0 if owner[nid] == player else sigma[k])
+                cf[child] = weight * (1.0 if actor[nid] == player else sigma[k])
                 stack.append(child)
 
-    value = [0.0] * len(kind)
+    value = [0.0] * len(actor)
     choice: Dict[int, int] = {}
     for u in response_order_reference(tree, player):
         if u < 0:
@@ -612,10 +648,10 @@ def response_values_reference(tree, policies, player: int, seeds,
             for m in reached:
                 child, rew = kids[m][best_k]
                 value[m] = rew[idx] + value[child]
-        elif cf[u] is not None and kind[u] != KIND_TERMINAL:
+        elif cf[u] is not None and actor[u] != TERMINAL_ACTOR:
             acc = 0.0
-            if kind[u] == KIND_CHANCE:
-                for prob, child, rew in kids[u]:
+            if actor[u] == CHANCE_ACTOR:
+                for prob, (child, rew) in zip(chance[u], kids[u]):
                     acc += prob * (rew[idx] + value[child])
             else:
                 sigma = policies[iset_index[u]]

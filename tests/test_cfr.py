@@ -10,7 +10,8 @@ import fosg
 from fosg.cfr import (CfrState, SolverTree, best_response, cfr_run, exploitability,
                       expected_values, reach_probabilities, regret_matching, response_values)
 from fosg.decomposition import Trunk, _boundary_values, _Leaves, cfr_d, complete_profile
-from fosg.errors import DepthExceeded, ImperfectRecall, MissingPolicy, NotZeroSum
+from fosg.errors import DepthExceeded, ImperfectRecall, InvalidArgument, MissingPolicy, NotZeroSum
+from fosg.io import efg_from_json
 
 import oracles
 from test_model import chain_spec
@@ -62,6 +63,13 @@ def test_reach_product_identity(kuhn_rep):
 def test_reach_missing_policy(kuhn_rep):
     with pytest.raises(MissingPolicy):
         reach_probabilities(kuhn_rep, {1: {}, 2: {}})
+
+
+def test_reach_seed_of_the_wrong_length_is_rejected(kuhn_rep):
+    profile = fosg.uniform_profile(kuhn_rep)
+    for vector in [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0)]:
+        with pytest.raises(InvalidArgument):
+            reach_probabilities(kuhn_rep, profile, seeds={0: vector})
 
 
 def test_values_at_terminals_are_zero(kuhn_rep):
@@ -155,7 +163,7 @@ def test_regret_table_accumulates_instantaneous_regrets(kuhn_rep):
     profile = tree.profile_from_policies([list(p) for p in state.policies])
     reach = reach_probabilities(kuhn_rep, profile)
     table = expected_values(kuhn_rep, profile, reach=reach)
-    state.walk(0, 1.0, [1.0, 1.0])
+    state.walk(0, [1.0, 1.0, 1.0])
     for s in tree.isets:
         for k, action in enumerate(s.actions):
             expected = (table.infoset_cf_q[s.owner][s.key][action]
@@ -173,7 +181,7 @@ def test_regret_additivity(kuhn_rep):
     for t in range(25):
         before = [list(r) for r in state.regrets]
         state.refresh_policies()
-        state.walk(0, 1.0, [1.0, 1.0])
+        state.walk(0, [1.0, 1.0, 1.0])
         for idx in range(len(increments)):
             for k in range(len(increments[idx])):
                 increments[idx][k] += state.regrets[idx][k] - before[idx][k]
@@ -349,6 +357,27 @@ def test_best_response_matches_enumeration_on_classical_trees():
         assert exploitability(efg, profile) == (values[0] + values[1]) / 2.0
 
 
+def test_a_classical_leaf_without_utilities_pays_zero():
+    # The loader accepts a leaf without utilities; the solvers read it as paying
+    # nothing, as the augmented tree does.
+    efg = efg_from_json({"players": 2, "infosets": {"1": [["r"]]}, "nodes": [
+        {"id": "r", "parent": None, "action": None, "actor": 1},
+        {"id": "a", "parent": "r", "action": "x", "actor": -1, "utilities": [1.0, -1.0]},
+        {"id": "b", "parent": "r", "action": "y", "actor": -1}]})
+    augmented = fosg.augment_classical(efg)
+    uniform, augmented_uniform = fosg.uniform_profile(efg), fosg.uniform_profile(augmented)
+    assert fosg.game_value(efg, uniform) == fosg.game_value(augmented, augmented_uniform) \
+        == (0.5, -0.5)
+    for player in (1, 2):
+        policy, value = best_response(efg, uniform, player)
+        augmented_policy, augmented_value = best_response(augmented, augmented_uniform, player)
+        assert list(policy.values()) == list(augmented_policy.values())
+        assert value == augmented_value
+    assert exploitability(efg, uniform) == exploitability(augmented, augmented_uniform)
+    assert list(cfr_run(efg, 5).average_profile[1].values()) \
+        == list(cfr_run(augmented, 5).average_profile[1].values())
+
+
 def _assert_response_matches_reference(tree, policies, seeds):
     """Same choices as the node-ordered reference; returns the root value gap."""
     gap = 0.0
@@ -364,7 +393,7 @@ def _assert_response_matches_reference(tree, policies, seeds):
 
 def test_response_values_match_the_node_ordered_reference(kuhn_rep):
     rng = random.Random(23)
-    root = {0: (1.0, (1.0, 1.0))}
+    root = {0: (1.0, 1.0, 1.0)}
     reps = [kuhn_rep] + [oracles.zero_sum_random_rep(seed, depth=7) for seed in range(12)] \
         + [oracles.zero_sum_random_rep(seed, depth=8) for seed in range(6)]
     for rep in reps:

@@ -12,6 +12,7 @@ from fosg.decomposition import (PublicBeliefState, Range, Trunk, _Leaves, build_
                                 range_at, subgame_histories, subgame_profile, trivial_pbs)
 from fosg.errors import (FosgError, InconsistentPBS, InvalidArgument, OutcomeDependentReward,
                          UnknownPublicState)
+from fosg.unroll import TERMINAL_ACTOR
 
 import oracles
 from test_cfr import random_profile
@@ -208,7 +209,7 @@ def test_subgame_counterfactual_values_match_full_game(kuhn_rep):
     # instead of the chance-absorbed initial transition.
     entry = [n.id for n in sub_rep.nodes
              if n.world_state is not None and n.world_state.startswith("sg")][0]
-    seeds = {entry: (1.0, tuple(1.0 for _ in sub_rep.players))}
+    seeds = {entry: (1.0,) * (len(sub_rep.players) + 1)}
     sub_reach = reach_probabilities(sub_rep, transferred, seeds=seeds)
     sub_values = expected_values(sub_rep, transferred, reach=sub_reach)
 
@@ -229,6 +230,29 @@ def test_subgame_counterfactual_values_match_full_game(kuhn_rep):
                 full_values.infoset_cf_value[p][full_key], abs=1e-10)
             checked += 1
     assert checked == 12
+
+
+def test_subgames_give_the_conditional_value_on_random_games():
+    # At every non-terminal public state with positive mass, the materialized
+    # subgame's value is the full game's value conditioned on reaching it.
+    rng = random.Random(31)
+    checked = 0
+    for rep in _random_zero_sum_reps():
+        profile = random_profile(rep, rng)
+        values = expected_values(rep, profile).node_value
+        reach = reach_probabilities(rep, profile)
+        for key, members in rep.public_sets.items():
+            mass = sum(reach.joint(m) for m in members)
+            if all(rep.nodes[m].actor == TERMINAL_ACTOR for m in members) or mass <= 0.0:
+                continue
+            conditional = [sum(reach.joint(m) * (rep.nodes[m].cumulative_reward[i] + values[m][i])
+                               for m in members) / mass for i in range(rep.num_players)]
+            pbs = PublicBeliefState(public_state=key, range=range_at(rep, profile, key))
+            sub_rep = fosg.unroll(build_subgame(rep, pbs))
+            value = fosg.game_value(sub_rep, subgame_profile(rep, sub_rep, profile))
+            assert value == pytest.approx(conditional, abs=1e-12)
+            checked += 1
+    assert checked > 300
 
 
 # --- trunks and the decomposition solver ---
@@ -312,7 +336,8 @@ def test_cfrd_entry_seeds_match_path_products(kuhn_rep):
         leaves = _Leaves.below(rep, tree, Trunk.from_depth(rep, 2))
         seeds = leaves.seeds(tree, tree.policies_from_profile(profile))
         assert seeds and set(seeds) == leaves.entry_set
-        for h, (chance, own) in seeds.items():
+        for h, reach in seeds.items():
+            chance, own = reach[0], reach[1:]
             expected_chance, expected_own = oracles.reach_by_path(rep, profile, h)
             assert chance == pytest.approx(expected_chance, abs=1e-15)
             assert own == pytest.approx(expected_own, abs=1e-15)
@@ -334,8 +359,7 @@ def test_one_forest_solve_equals_a_solve_per_leaf(kuhn_rep):
             for _ in range(7):
                 alone.refresh_policies(indices=isets)
                 for h in rep.public_sets[key]:
-                    pc, pp = seeds[h]
-                    alone.walk(h, pc, list(pp))
+                    alone.walk(h, list(seeds[h]))
             for idx in isets:
                 assert alone.regrets[idx] == forest.regrets[idx]
                 assert alone.strategy_sum[idx] == forest.strategy_sum[idx]

@@ -626,6 +626,18 @@ def test_augment_merges_unseen_sibling_outcomes():
     assert same_classical(chain, fosg.forget_nonacting(augmented))
 
 
+def test_augment_labels_match_the_walk_up_reference():
+    trees = [fosg.pad_to_1_timeable(*fosg.padding_chain(n)) for n in (2, 5, 12)]
+    for depth in (3, 4, 5):
+        for seed in range(20):
+            efg = fosg.random_timeable_efg(seed, depth=depth)
+            trees.append(fosg.pad_to_1_timeable(efg, fosg.find_exact_timing(efg)[0]))
+    trees = [efg for efg in trees if oracles.check_perfect_recall_reference(efg)[0]]
+    assert len(trees) > 30
+    for efg in trees:
+        assert fosg.augment_classical(efg).infostate_keys == oracles.augment_keys_reference(efg)
+
+
 def test_two_augmentations_share_one_classical_tree():
     classical, variant_a, variant_b = fosg.two_augmentations()
     assert same_classical(fosg.forget_nonacting(variant_a), classical)
