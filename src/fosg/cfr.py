@@ -19,7 +19,7 @@ from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from .errors import DepthExceeded, InvalidArgument, MissingPolicy, NotZeroSum
 from .sequence_form import PolicyProfile, SequenceSet, _sequences
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep, require_form
 
 Game = Union[ExtensiveFormRep, ClassicalEFG]
 
@@ -45,11 +45,14 @@ class SolverTree:
     ``chance[nid]`` a chance node's probabilities in the same order (None
     elsewhere), so ``chance[nid] or policies[iset_index[nid]]`` is the
     distribution a node plays. Reach vectors are indexed by actor: chance
-    first, then the players.
+    first, then the players. ``terminals`` lists ``(node, chance weight,
+    utility)`` in id order; a classical leaf's utility is its ``utilities`` or
+    zeros, an unrolled terminal's its cumulative reward.
     """
 
     __slots__ = ("num_players", "actor", "chance", "iset_index", "kids", "isets",
-                 "iset_lookup", "zero_sum_gap", "height", "game", "_sequence_sets")
+                 "iset_lookup", "terminals", "zero_sum_gap", "height", "game",
+                 "_sequence_sets")
 
     def __init__(self, game: Game):
         self.game = game
@@ -67,13 +70,15 @@ class SolverTree:
         zeros = (0.0,) * n
         if isinstance(game, ExtensiveFormRep):
             edge_reward = game.edge_reward
+            utility = game.utility
             acting = {p: game.acting_infosets(p) for p in game.players}
         else:
             # A classical leaf without utilities pays nothing.
+            def utility(nid):
+                return nodes[nid].utilities or zeros
+
             def edge_reward(child):
-                if child.actor == TERMINAL_ACTOR and child.utilities is not None:
-                    return child.utilities
-                return zeros
+                return utility(child.id) if child.actor == TERMINAL_ACTOR else zeros
 
             acting = {p: game.infosets[p] for p in game.players}
 
@@ -86,23 +91,25 @@ class SolverTree:
                 for m in members:
                     self.iset_index[m] = idx
 
-        gap = 0.0
+        self.terminals: List[Tuple[int, float, Tuple[float, ...]]] = []
+        weight = [1.0] * count
         for node in nodes:
             if node.actor == TERMINAL_ACTOR:
-                if n == 2:
-                    util = node.cumulative_reward if isinstance(game, ExtensiveFormRep) \
-                        else edge_reward(node)
-                    gap = max(gap, abs(util[0] + util[1]))
+                self.terminals.append((node.id, weight[node.id], utility(node.id)))
                 continue
             if node.actor == CHANCE_ACTOR:
                 self.chance[node.id] = tuple(node.chance_dist[label] for label in node.actions)
             elif self.iset_index[node.id] < 0:
                 raise InvalidArgument(f"decision node {node.id} of player {node.actor} "
                                       "belongs to no infoset of its actor")
-            self.kids[node.id] = tuple(
+            kids = self.kids[node.id] = tuple(
                 (node.children[label], edge_reward(nodes[node.children[label]]))
                 for label in node.actions)
-        self.zero_sum_gap = gap
+            # Ids list parents first, so a parent's weight is final before its children's.
+            for (child, _rew), prob in zip(kids, self.chance[node.id] or repeat(1.0)):
+                weight[child] = weight[node.id] * prob
+        self.zero_sum_gap = max((abs(u[0] + u[1]) for _, _, u in self.terminals),
+                                default=0.0) if n == 2 else 0.0
         self.height = max(node.depth for node in nodes)
         self._sequence_sets: Dict[int, Tuple[SequenceSet, List[int]]] = {}
 
@@ -274,10 +281,8 @@ def expected_values(rep: Game, profile: PolicyProfile,
     """Bottom-up value pass; infostate aggregates use counterfactual weights.
 
     At an infostate with zero counterfactual mass the conditional value falls
-    back to 0 by convention. Infostate aggregates are filled when reach
-    probabilities are available, i.e. for tree-form input or an explicit
-    ``reach``; classical trees without one get node values only. ``tree`` is
-    a prebuilt ``SolverTree`` of ``rep``.
+    back to 0 by convention. ``reach`` defaults to the profile's own reach
+    probabilities; ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
     """
     tree = tree or SolverTree(rep)
     values = _node_values(tree, tree.policies_from_profile(profile), range(len(tree.actor)))
@@ -290,29 +295,27 @@ def expected_values(rep: Game, profile: PolicyProfile,
             node_q[nid] = {actions[k]: tuple(rew[i] + values[child][i] for i in range(n))
                            for k, (child, rew) in enumerate(kids)}
 
-    if reach is None and isinstance(rep, ExtensiveFormRep):
-        reach = reach_probabilities(rep, profile, tree=tree)
+    reach = reach or reach_probabilities(rep, profile, tree=tree)
     infoset_value = {p: {} for p in players}
     infoset_q = {p: {} for p in players}
     infoset_cf_value = {p: {} for p in players}
     infoset_cf_q = {p: {} for p in players}
-    if reach is not None:
-        for s in tree.isets:
-            p = s.owner
-            cf_total = sum(reach.counterfactual[p][m] for m in s.members)
-            cf_v = sum(reach.counterfactual[p][m] * values[m][p - 1] for m in s.members)
-            cf_q = {
-                a: sum(reach.counterfactual[p][m] * node_q[m][a][p - 1] for m in s.members)
-                for a in s.actions
-            }
-            infoset_cf_value[p][s.key] = cf_v
-            infoset_cf_q[p][s.key] = cf_q
-            if cf_total > 0.0:
-                infoset_value[p][s.key] = cf_v / cf_total
-                infoset_q[p][s.key] = {a: q / cf_total for a, q in cf_q.items()}
-            else:
-                infoset_value[p][s.key] = 0.0
-                infoset_q[p][s.key] = {a: 0.0 for a in s.actions}
+    for s in tree.isets:
+        p = s.owner
+        cf_total = sum(reach.counterfactual[p][m] for m in s.members)
+        cf_v = sum(reach.counterfactual[p][m] * values[m][p - 1] for m in s.members)
+        cf_q = {
+            a: sum(reach.counterfactual[p][m] * node_q[m][a][p - 1] for m in s.members)
+            for a in s.actions
+        }
+        infoset_cf_value[p][s.key] = cf_v
+        infoset_cf_q[p][s.key] = cf_q
+        if cf_total > 0.0:
+            infoset_value[p][s.key] = cf_v / cf_total
+            infoset_q[p][s.key] = {a: q / cf_total for a, q in cf_q.items()}
+        else:
+            infoset_value[p][s.key] = 0.0
+            infoset_q[p][s.key] = {a: 0.0 for a in s.actions}
     return ValueTable(node_value={i: v for i, v in enumerate(values)},
                       node_q=node_q,
                       infoset_value=infoset_value,
@@ -495,6 +498,8 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
     if trace_stride < 0:
         raise InvalidArgument("trace stride must be >= 0")
     tree = tree or SolverTree(game)
+    for p in range(1, tree.num_players + 1):  # ImperfectRecall before the first iteration
+        tree.sequences(p)
     state = CfrState(tree)
     trace: List[TracePoint] = []
     policies_log: List[PolicyProfile] = []
@@ -615,6 +620,7 @@ def exploitability(game: Game, profile: PolicyProfile,
 def check_observable_rewards(rep: ExtensiveFormRep, atol: float = 1e-9,
                              ) -> Tuple[bool, Optional[Tuple]]:
     """Whether cumulative rewards are measurable with respect to each player's infostates."""
+    require_form(rep, ExtensiveFormRep, "check_observable_rewards")
     for p in rep.players:
         for key, members in rep.infosets[p].items():
             reference = rep.nodes[members[0]].cumulative_reward[p - 1]

@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
             profile = outcome.completed_profile
             trace = outcome.trace
         else:
-            lp = build_sequence_lp(rep)
+            lp = build_sequence_lp(rep, tree=tree)
             solution = solve_zero_sum_lp(lp)
             profile = lp_profile(rep, solution, lp)
             trace = []

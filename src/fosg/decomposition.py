@@ -18,13 +18,14 @@ from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _node_values,
                   exploitability, game_value, reach_probabilities, response_values)
 from .errors import InconsistentPBS, InvalidArgument, MissingPolicy, UnknownPublicState
 from .model import TICK, FactoredObservation, GameSpec, serialize
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree, unroll
+from .unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree,
+                     require_form, unroll)
 
 
-def _as_rep(game) -> ExtensiveFormRep:
-    if isinstance(game, ExtensiveFormRep):
-        return game
-    return unroll(serialize(game))
+def _as_rep(game, analysis: str) -> ExtensiveFormRep:
+    if isinstance(game, GameSpec):
+        return unroll(serialize(game))
+    return require_form(game, ExtensiveFormRep, analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +45,21 @@ def _extends(key: Tuple, prefix: Tuple) -> bool:
     return len(key) >= len(prefix) and key[:len(prefix)] == prefix
 
 
+def _below(rep: ExtensiveFormRep, starts: Sequence[int]) -> Set[int]:
+    """``starts`` and every history below them."""
+    selected: Set[int] = set()
+    stack = list(starts)
+    while stack:
+        nid = stack.pop()
+        if nid not in selected:
+            selected.add(nid)
+            stack.extend(rep.nodes[nid].children.values())
+    return selected
+
+
 def public_subtree(rep: ExtensiveFormRep, public_state: Hashable) -> PublicSubtree:
     """Desc of a public state plus the history set and per-player infoset forests."""
+    require_form(rep, ExtensiveFormRep, "public_subtree")
     if public_state not in rep.public_sets:
         raise UnknownPublicState(f"public state {public_state!r} does not occur")
     descendants = tuple(k for k in rep.public_sets if _extends(k, public_state))
@@ -68,6 +82,7 @@ def subgame_histories(rep: ExtensiveFormRep, anchor: int, method: str,
     ``player``), and "public" (union of public sets of extending public
     states).
     """
+    require_form(rep, ExtensiveFormRep, "subgame_histories")
     anchor_pub = rep.public_keys[anchor]
     members = rep.public_sets[anchor_pub]
 
@@ -86,15 +101,7 @@ def subgame_histories(rep: ExtensiveFormRep, anchor: int, method: str,
         return frozenset(selected)
 
     if method == "extension":
-        selected = set()
-        stack = list(members)
-        while stack:
-            nid = stack.pop()
-            if nid in selected:
-                continue
-            selected.add(nid)
-            stack.extend(rep.nodes[nid].children.values())
-        return frozenset(selected)
+        return frozenset(_below(rep, members))
 
     if method == "infostate":
         starts = {rep.infostate_keys[player][m] for m in members}
@@ -121,6 +128,7 @@ def subgame_histories(rep: ExtensiveFormRep, anchor: int, method: str,
 
 
 def closed_under_infosets(rep: ExtensiveFormRep, histories: FrozenSet[int]) -> bool:
+    require_form(rep, ExtensiveFormRep, "closed_under_infosets")
     for p in rep.players:
         for nid in histories:
             if any(m not in histories for m in rep.infosets[p][rep.infostate_keys[p][nid]]):
@@ -205,6 +213,7 @@ def range_at(rep: ExtensiveFormRep, profile: PolicyProfile, public_state: Hashab
     state; entries elsewhere are ignored (reaches at the slice cannot depend
     on them).
     """
+    require_form(rep, ExtensiveFormRep, "range_at")
     if public_state not in rep.public_sets:
         raise UnknownPublicState(f"public state {public_state!r} does not occur")
     padded: PolicyProfile = {p: {} for p in rep.players}
@@ -237,6 +246,7 @@ def range_at(rep: ExtensiveFormRep, profile: PolicyProfile, public_state: Hashab
 
 def trivial_pbs(rep: ExtensiveFormRep) -> PublicBeliefState:
     """The root public belief state: point mass on the initial history."""
+    require_form(rep, ExtensiveFormRep, "trivial_pbs")
     root_key = rep.public_keys[0]
     player_mass = {p: {rep.infostate_keys[p][0]: 1.0} for p in rep.players}
     rng = Range(public_state=root_key, player_mass=player_mass,
@@ -260,7 +270,7 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
     Raises ``OutcomeDependentReward`` when a chance node below the public
     state pays different rewards on different outcomes.
     """
-    rep = _as_rep(game)
+    rep = _as_rep(game, "build_subgame")
     key = pbs.public_state
     if key not in rep.public_sets:
         raise UnknownPublicState(f"public state {key!r} does not occur")
@@ -275,14 +285,7 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
         raise InconsistentPBS("range assigns zero mass to the whole public set")
 
     players = rep.players
-    subtree: Set[int] = set()
-    stack = list(members)
-    while stack:
-        nid = stack.pop()
-        if nid in subtree:
-            continue
-        subtree.add(nid)
-        stack.extend(rep.nodes[nid].children.values())
+    subtree = _below(rep, members)
 
     info_symbol = {
         p: {k: f"s{p}.{i}" for i, k in enumerate(sorted(
@@ -312,6 +315,7 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
 def subgame_profile(rep: ExtensiveFormRep, sub_rep: ExtensiveFormRep,
                     profile: PolicyProfile) -> PolicyProfile:
     """Transfer a full-game profile onto the unrolled materialized subgame."""
+    require_form(rep, ExtensiveFormRep, "subgame_profile")
     out: PolicyProfile = {p: {} for p in rep.players}
     for node in sub_rep.nodes:
         w = node.world_state
@@ -340,11 +344,13 @@ class Trunk:
     @staticmethod
     def from_depth(rep: ExtensiveFormRep, depth: int) -> "Trunk":
         """The first ``depth`` levels of the public tree."""
+        require_form(rep, ExtensiveFormRep, "Trunk.from_depth")
         if depth < 1:
             raise InvalidArgument("trunk depth must be >= 1")
         return Trunk(keys=frozenset(k for k in rep.public_sets if len(k) < depth))
 
     def validate(self, rep: ExtensiveFormRep) -> None:
+        require_form(rep, ExtensiveFormRep, "Trunk.validate")
         if rep.public_keys[0] not in self.keys:
             raise InvalidArgument("trunk must contain the root public state")
         for key in self.keys:
@@ -355,6 +361,7 @@ class Trunk:
 
     def leaves(self, rep: ExtensiveFormRep) -> List[Hashable]:
         """Public states just below the trunk, in first-occurrence order."""
+        require_form(rep, ExtensiveFormRep, "Trunk.leaves")
         out = []
         for key in rep.public_sets:
             if key not in self.keys and len(key) and key[:-1] in self.keys:
@@ -453,7 +460,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
         raise InvalidArgument("subgame budget must be >= 1")
     if trace_stride < 0:
         raise InvalidArgument("trace stride must be >= 0")
-    rep = _as_rep(game)
+    rep = _as_rep(game, "cfr_d")
     trunk.validate(rep)
     tree = tree or SolverTree(rep)
     leaves = _Leaves.below(rep, tree, trunk)
@@ -532,6 +539,7 @@ def _trunk_average(tree: SolverTree, trunk_isets: Sequence[int],
 def complete_profile(rep: ExtensiveFormRep, trunk: Trunk, trunk_profile: PolicyProfile,
                      subgame_budget: int, tree: Optional[SolverTree] = None) -> PolicyProfile:
     """Extend a trunk profile to the whole game by re-solving every leaf subgame."""
+    require_form(rep, ExtensiveFormRep, "complete_profile")
     if subgame_budget < 1:
         raise InvalidArgument("subgame budget must be >= 1")
     tree = tree or SolverTree(rep)

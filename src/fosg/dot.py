@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from .errors import InvalidArgument
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, require_form
 
 VIEWS = ("history", "infoset", "public")
 
@@ -96,6 +96,7 @@ def public_dot(rep: ExtensiveFormRep) -> str:
 
 
 def export_view(rep: ExtensiveFormRep, view: str) -> str:
+    require_form(rep, ExtensiveFormRep, "export_view")
     if view == "history":
         return history_dot(rep)
     if view == "public":

@@ -16,7 +16,8 @@ from typing import Dict, List, Tuple
 from .cfr import TracePoint
 from .errors import InvalidArgument
 from .model import FactoredObservation, GameSpec, JointKey
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode, add_efg_node
+from .unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode, add_efg_node,
+                     require_form)
 
 LOAD_TOL = 1e-9
 
@@ -99,6 +100,7 @@ def spec_from_json(doc: dict) -> GameSpec:
 
 
 def efg_to_json(efg: ClassicalEFG) -> dict:
+    require_form(efg, ClassicalEFG, "efg_to_json")
     nodes = []
     for node in efg.nodes:
         entry = {

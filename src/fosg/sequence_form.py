@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ImperfectRecall, InvalidPlan, NotZeroSum
 from .simplex import solve_standard_form
-from .unroll import CHANCE_ACTOR, ExtensiveFormRep, _last_own, check_perfect_recall
+from .unroll import ExtensiveFormRep, _last_own
 
 EMPTY = ("∅",)
 
@@ -40,15 +40,8 @@ class SequenceSet:
         return len(self.sequences)
 
 
-def _require_perfect_recall(rep: ExtensiveFormRep) -> None:
-    ok, witness = check_perfect_recall(rep)
-    if not ok:
-        raise ImperfectRecall(f"representation lacks perfect recall: {witness!r}")
-
-
-def enumerate_sequences(rep: ExtensiveFormRep, player: int) -> SequenceSet:
+def enumerate_sequences(rep, player: int) -> SequenceSet:
     """Build the sequence set of one player in parent-before-child order."""
-    _require_perfect_recall(rep)
     return _sequences(rep, player)[0]
 
 
@@ -89,13 +82,6 @@ def _sequences(game, player: int) -> Tuple[SequenceSet, List[int]]:
     return seqs, [index[own or EMPTY] for own in last]
 
 
-def terminal_sequences(rep: ExtensiveFormRep, seqs: SequenceSet,
-                       ) -> Dict[int, int]:
-    """Map each terminal node to the owner's last sequence on its path."""
-    last = _last_own(rep, seqs.owner)
-    return {n.id: seqs.index[last[n.id] or EMPTY] for n in rep.terminals()}
-
-
 @dataclass
 class SequenceLP:
     """Payoff matrix over sequence pairs plus both realization-plan systems."""
@@ -109,29 +95,30 @@ class SequenceLP:
     f_vector: np.ndarray
 
 
-def payoff_matrix(rep: ExtensiveFormRep) -> np.ndarray:
-    """A[s, t] sums chance reach times player 1's utility over terminals with those sequences."""
-    if rep.num_players != 2:
-        raise NotZeroSum("the sequence-form payoff matrix requires two players")
-    _require_perfect_recall(rep)
-    return _payoff_matrix(rep, _sequences(rep, 1), _sequences(rep, 2))
+def _two_player_tree(rep, tree):
+    """``tree``, or the ``SolverTree`` of ``rep``; raises NotZeroSum unless it has two players."""
+    if tree is None:
+        from .cfr import SolverTree  # a deferred import: cfr imports this module
+        tree = SolverTree(rep)
+    if tree.num_players != 2:
+        raise NotZeroSum("the sequence-form program requires two players")
+    return tree
 
 
-def _payoff_matrix(rep: ExtensiveFormRep, row: Tuple[SequenceSet, List[int]],
-                   col: Tuple[SequenceSet, List[int]]) -> np.ndarray:
-    (seqs1, last1), (seqs2, last2) = row, col
-    chance = [1.0] * len(rep.nodes)
-    for node in rep.nodes[1:]:  # parents first, the root at 0
-        parent = rep.nodes[node.parent]
-        chance[node.id] = chance[parent.id] * (parent.chance_dist[node.incoming_action]
-                                               if parent.actor == CHANCE_ACTOR else 1.0)
+def payoff_matrix(rep, *, tree=None) -> np.ndarray:
+    """A[s, t] sums chance weight times player 1's utility over terminals with those sequences.
+
+    Takes either tree form; ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
+    """
+    tree = _two_player_tree(rep, tree)
+    (seqs1, last1), (seqs2, last2) = tree.sequences(1), tree.sequences(2)
     a = np.zeros((len(seqs1), len(seqs2)))
-    for node in rep.terminals():
-        a[last1[node.id], last2[node.id]] += chance[node.id] * node.cumulative_reward[0]
+    for nid, weight, utility in tree.terminals:
+        a[last1[nid], last2[nid]] += weight * utility[0]
     return a
 
 
-def constraint_matrices(rep: ExtensiveFormRep, player: int) -> Tuple[np.ndarray, np.ndarray]:
+def constraint_matrices(rep, player: int) -> Tuple[np.ndarray, np.ndarray]:
     """Realization-plan constraints as (matrix, vector): row 0 pins the empty sequence."""
     seqs = enumerate_sequences(rep, player)
     return _constraint_matrices(seqs)
@@ -150,15 +137,14 @@ def _constraint_matrices(seqs: SequenceSet) -> Tuple[np.ndarray, np.ndarray]:
     return e, vec
 
 
-def build_sequence_lp(rep: ExtensiveFormRep) -> SequenceLP:
-    if rep.num_players != 2:
-        raise NotZeroSum("the sequence-form program requires two players")
-    _require_perfect_recall(rep)
-    row, col = _sequences(rep, 1), _sequences(rep, 2)
-    e_mat, e_vec = _constraint_matrices(row[0])
-    f_mat, f_vec = _constraint_matrices(col[0])
-    return SequenceLP(row_sequences=row[0], col_sequences=col[0],
-                      payoff=_payoff_matrix(rep, row, col),
+def build_sequence_lp(rep, *, tree=None) -> SequenceLP:
+    """The sequence-form program of either tree form, read off ``tree`` (built when absent)."""
+    tree = _two_player_tree(rep, tree)
+    row, col = tree.sequences(1)[0], tree.sequences(2)[0]
+    e_mat, e_vec = _constraint_matrices(row)
+    f_mat, f_vec = _constraint_matrices(col)
+    return SequenceLP(row_sequences=row, col_sequences=col,
+                      payoff=payoff_matrix(rep, tree=tree),
                       e_matrix=e_mat, e_vector=e_vec,
                       f_matrix=f_mat, f_vector=f_vec)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidTiming
-from .unroll import ClassicalEFG, EfgNode, _union_find, add_efg_node
+from .unroll import ClassicalEFG, EfgNode, _union_find, add_efg_node, require_form
 
 WitnessStep = Tuple  # ("edge", parent, child) | ("infoset", a, b, player, key)
 
@@ -227,6 +227,7 @@ def pad_to_1_timeable(efg: ClassicalEFG, timing: Timing) -> ClassicalEFG:
     has exactly the input's node count plus the summed skips, identical
     strategy spaces, and unchanged expected utilities.
     """
+    require_form(efg, ClassicalEFG, "pad_to_1_timeable")
     problems = validate_timing(efg, timing)
     if problems:
         raise InvalidTiming("; ".join(problems))

@@ -46,8 +46,23 @@ class HistoryNode:
     incoming_obs: Optional[FactoredObservation] = None
 
 
+class TreeForm:
+    """What both tree forms share: ``num_players``, and ``nodes`` indexed by id, the root at 0."""
+
+    @property
+    def root(self):
+        return self.nodes[0]
+
+    @property
+    def players(self) -> Tuple[int, ...]:
+        return tuple(range(1, self.num_players + 1))
+
+    def terminals(self) -> list:
+        return [n for n in self.nodes if n.actor == TERMINAL_ACTOR]
+
+
 @dataclass
-class ExtensiveFormRep:
+class ExtensiveFormRep(TreeForm):
     """A history tree with per-player partitions over all nodes plus a public partition.
 
     Treated as immutable once built; concurrent read-only traversal is safe.
@@ -59,17 +74,6 @@ class ExtensiveFormRep:
     infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]]
     public_keys: List[Hashable]
     public_sets: Dict[Hashable, Tuple[int, ...]]
-
-    @property
-    def root(self) -> HistoryNode:
-        return self.nodes[0]
-
-    @property
-    def players(self) -> Tuple[int, ...]:
-        return tuple(range(1, self.num_players + 1))
-
-    def terminals(self) -> List[HistoryNode]:
-        return [n for n in self.nodes if n.actor == TERMINAL_ACTOR]
 
     def utility(self, node_id: int) -> Tuple[float, ...]:
         return self.nodes[node_id].cumulative_reward
@@ -103,23 +107,12 @@ class EfgNode:
 
 
 @dataclass
-class ClassicalEFG:
+class ClassicalEFG(TreeForm):
     """A game tree whose information partitions cover only the acting player's nodes."""
 
     num_players: int
     nodes: List[EfgNode]
     infosets: Dict[int, Dict[Hashable, Tuple[int, ...]]]
-
-    @property
-    def root(self) -> EfgNode:
-        return self.nodes[0]
-
-    @property
-    def players(self) -> Tuple[int, ...]:
-        return tuple(range(1, self.num_players + 1))
-
-    def terminals(self) -> List[EfgNode]:
-        return [n for n in self.nodes if n.actor == TERMINAL_ACTOR]
 
     def infoset_of(self, player: int) -> Dict[int, Hashable]:
         out = {}
@@ -127,6 +120,13 @@ class ClassicalEFG:
             for m in members:
                 out[m] = key
         return out
+
+
+def require_form(game, form: type, analysis: str):
+    """``game`` itself when it is a ``form`` tree; the one typed refusal otherwise."""
+    if not isinstance(game, form):
+        raise InvalidArgument(f"{analysis} needs {form.__name__} input, got {type(game).__name__}")
+    return game
 
 
 def add_efg_node(nodes: List[EfgNode], name: str, parent: Optional[int],
@@ -373,6 +373,7 @@ def _add_level(level: List[int], singletons: List[Tuple[int]], cells: List[int],
 
 def thick_public_set_witness(rep: ExtensiveFormRep) -> Optional[Tuple[int, int]]:
     """A (ancestor, descendant) pair sharing a public set, or None."""
+    require_form(rep, ExtensiveFormRep, "the thick-public-set check")
     for members in rep.public_sets.values():
         cell = set(members)
         for m in members:
@@ -449,11 +450,11 @@ def check_perfect_recall(game) -> Tuple[bool, Optional[Tuple]]:
                 return (keys[up],)
 
             return step
-    elif isinstance(game, ClassicalEFG):
+    else:
+        require_form(game, ClassicalEFG, "check_perfect_recall")
+
         def remembered(player: int) -> Callable[[int], Hashable]:
             return _last_own(game, player).__getitem__
-    else:
-        raise TypeError(f"unsupported game type {type(game)!r}")
 
     for player, cells in game.infosets.items():
         step = remembered(player)
@@ -498,6 +499,7 @@ def forget_nonacting(rep: ExtensiveFormRep) -> ClassicalEFG:
     ``children``) and the member tuples of infosets made of decision nodes
     only; neither side may be changed in place.
     """
+    require_form(rep, ExtensiveFormRep, "forget_nonacting")
     nodes = [
         EfgNode(n.id, f"n{n.id}", n.parent, n.incoming_action, n.actor, n.depth, n.actions,
                 n.chance_dist or None, n.children,
@@ -603,6 +605,7 @@ def lift_to_fosg(rep: ExtensiveFormRep) -> GameSpec:
     become the observation symbols. Requires perfect recall and no thick
     public sets.
     """
+    require_form(rep, ExtensiveFormRep, "lift_to_fosg")
     ok, witness = check_perfect_recall(rep)
     if not ok:
         raise ImperfectRecall(f"representation lacks perfect recall: {witness!r}")
@@ -745,6 +748,7 @@ def augment_classical(efg: ClassicalEFG) -> ExtensiveFormRep:
     Requires the input to be 1-timeable and have perfect recall, and its node
     ids to list parents first (InvalidArgument otherwise).
     """
+    require_form(efg, ClassicalEFG, "augment_classical")
     if not is_one_timeable(efg):
         raise NotOneTimeable("classical infosets are not depth-homogeneous")
     # The recall check also checks that node ids list parents first.
@@ -816,26 +820,6 @@ def _augmented(efg: ClassicalEFG, keys: Mapping[int, Sequence[Hashable]]) -> Ext
         public_keys=pub_keys,
         public_sets={k: tuple(v) for k, v in public_sets.items()},
     )
-
-
-def same_classical(a: ClassicalEFG, b: ClassicalEFG) -> bool:
-    """Structural equality: same tree, same utilities, same partition cells."""
-    if a.num_players != b.num_players or len(a.nodes) != len(b.nodes):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if (na.parent, na.incoming_action, na.actor, na.actions) != \
-                (nb.parent, nb.incoming_action, nb.actor, nb.actions):
-            return False
-        if (na.chance_dist or None) != (nb.chance_dist or None):
-            return False
-        if na.utilities != nb.utilities:
-            return False
-    for p in a.players:
-        cells_a = {frozenset(m) for m in a.infosets[p].values()}
-        cells_b = {frozenset(m) for m in b.infosets[p].values()}
-        if cells_a != cells_b:
-            return False
-    return True
 
 
 def reps_isomorphic(a: ExtensiveFormRep, b: ExtensiveFormRep, atol: float = 1e-9) -> bool:

@@ -5,8 +5,10 @@ exhaustive search over pure policies, a hand-rolled Kuhn settlement, the
 row-by-row Bland's-rule simplex the vectorized kernel must match pivot for
 pivot, the per-node unroller the step-table one must match node for node,
 the walk-up labels the one-step augmentation must match, the root-path
-perfect-recall check the one-step rules must agree with, and the
-node-ordered best response the pass over sequences must agree with.
+perfect-recall check the one-step rules must agree with, the
+node-ordered best response the pass over sequences must agree with, a
+structural equality of classical trees, and each terminal's last sequence
+per player, which the payoff matrix is checked against.
 None of it shares code with the solvers it cross-checks; the best-response
 reference reads the same compiled ``SolverTree``.
 """
@@ -21,6 +23,7 @@ import fosg
 from fosg.errors import (DepthExceeded, ImperfectRecall, Infeasible, NotSerial, PivotLimit,
                          Unbounded)
 from fosg.model import GameSpec, InfoKey, advance_keys, is_serial, merge_chance
+from fosg.sequence_form import EMPTY
 from fosg.simplex import TOL
 from fosg.unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, EfgNode,
                          ExtensiveFormRep, HistoryNode, _last_own)
@@ -450,6 +453,35 @@ def forget_nonacting_reference(rep: ExtensiveFormRep) -> ClassicalEFG:
                 cells[key] = acting
         infosets[p] = cells
     return ClassicalEFG(num_players=rep.num_players, nodes=nodes, infosets=infosets)
+
+
+# --- structural equality of classical trees, and each terminal's last sequence ---
+
+
+def same_classical(a: ClassicalEFG, b: ClassicalEFG) -> bool:
+    """Structural equality: same tree, same utilities, same partition cells."""
+    if a.num_players != b.num_players or len(a.nodes) != len(b.nodes):
+        return False
+    for na, nb in zip(a.nodes, b.nodes):
+        if (na.parent, na.incoming_action, na.actor, na.actions) != \
+                (nb.parent, nb.incoming_action, nb.actor, nb.actions):
+            return False
+        if (na.chance_dist or None) != (nb.chance_dist or None):
+            return False
+        if na.utilities != nb.utilities:
+            return False
+    for p in a.players:
+        cells_a = {frozenset(m) for m in a.infosets[p].values()}
+        cells_b = {frozenset(m) for m in b.infosets[p].values()}
+        if cells_a != cells_b:
+            return False
+    return True
+
+
+def terminal_sequences(rep, seqs) -> Dict[int, int]:
+    """Map each terminal node to the owner's last sequence on its path."""
+    last = _last_own(rep, seqs.owner)
+    return {n.id: seqs.index[last[n.id] or EMPTY] for n in rep.terminals()}
 
 
 # --- the walk-up augmentation labels ---

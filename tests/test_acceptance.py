@@ -19,8 +19,9 @@ from fosg.model import expected_utilities, serial_policy
 from fosg.sequence_form import build_sequence_lp, lp_profile, solve_zero_sum_lp
 from fosg.timing import find_exact_timing, pad_to_1_timeable, validate_timing, \
     verify_witness
-from fosg.unroll import posg_policy, reps_isomorphic, same_classical
+from fosg.unroll import posg_policy, reps_isomorphic
 
+from oracles import same_classical
 from test_cfr import random_profile
 
 

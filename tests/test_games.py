@@ -105,9 +105,7 @@ def test_random_fosg_tree_height(seed, depth):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=100_000))
 def test_random_timeable_efg_deterministic(seed):
-    from fosg.unroll import same_classical
-
-    assert same_classical(fosg.random_timeable_efg(seed), fosg.random_timeable_efg(seed))
+    assert oracles.same_classical(fosg.random_timeable_efg(seed), fosg.random_timeable_efg(seed))
 
 
 def test_fixtures_export_to_json(kuhn_spec, pennies_spec, kuhn_efg):

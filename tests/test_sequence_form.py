@@ -15,8 +15,7 @@ from fosg.errors import (FosgError, Infeasible, InvalidArgument, InvalidPlan,
 from fosg.sequence_form import (EMPTY, build_sequence_lp,
                                 constraint_matrices, enumerate_sequences, lp_dump,
                                 lp_profile, payoff_matrix, plan_from_policy,
-                                realization_to_behavioral, solve_zero_sum_lp,
-                                terminal_sequences, validate_plan)
+                                realization_to_behavioral, solve_zero_sum_lp, validate_plan)
 from fosg.simplex import solve_standard_form
 
 import oracles
@@ -83,8 +82,8 @@ def test_kuhn_payoff_matrix_against_settlement_oracle(kuhn_rep):
     a = payoff_matrix(kuhn_rep)
     seqs1 = enumerate_sequences(kuhn_rep, 1)
     seqs2 = enumerate_sequences(kuhn_rep, 2)
-    b1 = terminal_sequences(kuhn_rep, seqs1)
-    b2 = terminal_sequences(kuhn_rep, seqs2)
+    b1 = oracles.terminal_sequences(kuhn_rep, seqs1)
+    b2 = oracles.terminal_sequences(kuhn_rep, seqs2)
     rebuilt = np.zeros_like(a)
     for z in kuhn_rep.terminals():
         deal, line = z.world_state.rstrip("$").split(":")

@@ -10,7 +10,9 @@ from fosg.errors import InvalidArgument, InvalidTiming
 from fosg.io import efg_from_json, efg_to_json
 from fosg.timing import (Timing, find_exact_timing, normalize_labels, pad_to_1_timeable,
                          validate_timing, verify_witness, witness_nodes)
-from fosg.unroll import ClassicalEFG, EfgNode, same_classical
+from fosg.unroll import ClassicalEFG, EfgNode
+
+from oracles import same_classical
 
 
 def test_nontimeable_fixture_has_four_node_witness():
