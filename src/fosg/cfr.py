@@ -19,7 +19,8 @@ from typing import Collection, Dict, Hashable, List, Mapping, Optional, Sequence
 
 from .errors import DepthExceeded, InvalidArgument, MissingPolicy, NotZeroSum
 from .sequence_form import PolicyProfile, SequenceSet, _sequences
-from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep, require_form
+from .unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ClassicalEFG, ExtensiveFormRep, TreeForm,
+                     require_form)
 
 Game = Union[ExtensiveFormRep, ClassicalEFG]
 
@@ -47,7 +48,8 @@ class SolverTree:
     distribution a node plays. Reach vectors are indexed by actor: chance
     first, then the players. ``terminals`` lists ``(node, chance weight,
     utility)`` in id order; a classical leaf's utility is its ``utilities`` or
-    zeros, an unrolled terminal's its cumulative reward.
+    zeros, an unrolled terminal's its cumulative reward. Analyses read a
+    game's tree through ``solver_tree``.
     """
 
     __slots__ = ("num_players", "actor", "chance", "iset_index", "kids", "isets",
@@ -55,7 +57,7 @@ class SolverTree:
                  "_sequence_sets")
 
     def __init__(self, game: Game):
-        self.game = game
+        self.game = require_form(game, TreeForm, "SolverTree")
         n = game.num_players
         self.num_players = n
         nodes = game.nodes
@@ -148,6 +150,19 @@ class SolverTree:
         return cached
 
 
+def solver_tree(game: Game) -> SolverTree:
+    """The game's ``SolverTree``, built on its first analysis and kept on the game.
+
+    It sits outside the dataclass fields, unseen by ``==``, ``repr`` and
+    ``dataclasses.replace``; a deep copy carries it. Racing first calls may
+    each build one, and all of them return the one stored first.
+    """
+    tree = getattr(game, "_solver_tree", None)
+    if tree is None:
+        tree = vars(game).setdefault("_solver_tree", SolverTree(game))
+    return tree
+
+
 def regret_matching(regrets: Sequence[float]) -> List[float]:
     """Positive-part-proportional distribution; uniform when nothing is positive."""
     positives = [r if r > 0.0 else 0.0 for r in regrets]
@@ -158,7 +173,7 @@ def regret_matching(regrets: Sequence[float]) -> List[float]:
 
 
 def uniform_profile(game: Game) -> PolicyProfile:
-    tree = SolverTree(game)
+    tree = solver_tree(game)
     return tree.profile_from_policies(tree.uniform_policies())
 
 
@@ -212,15 +227,13 @@ def _reach_pass(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]],
 
 
 def reach_probabilities(rep: ExtensiveFormRep, profile: PolicyProfile,
-                        seeds: Optional[Mapping[int, Sequence[float]]] = None,
-                        *, tree: Optional[SolverTree] = None) -> ReachTable:
+                        seeds: Optional[Mapping[int, Sequence[float]]] = None) -> ReachTable:
     """Single top-down pass filling chance, per-player, and counterfactual reaches.
 
-    ``seeds`` optionally replaces the root initialization: a map from node id
-    to reach vector (chance, player 1, ..., player n) for the roots of a
-    forest. ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
+    ``seeds`` optionally replaces the root initialization: a map from node
+    id to reach vector (chance, player 1, ..., player n) for a forest's roots.
     """
-    tree = tree or SolverTree(rep)
+    tree = solver_tree(rep)
     players = rep.players
     if seeds is None:
         seeds = {0: (1.0,) * (len(players) + 1)}
@@ -276,15 +289,13 @@ def _node_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float]]]
 
 
 def expected_values(rep: Game, profile: PolicyProfile,
-                    reach: Optional[ReachTable] = None,
-                    *, tree: Optional[SolverTree] = None) -> ValueTable:
+                    reach: Optional[ReachTable] = None) -> ValueTable:
     """Bottom-up value pass; infostate aggregates use counterfactual weights.
 
     At an infostate with zero counterfactual mass the conditional value falls
-    back to 0 by convention. ``reach`` defaults to the profile's own reach
-    probabilities; ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
+    back to 0 by convention. ``reach`` defaults to the profile's own reaches.
     """
-    tree = tree or SolverTree(rep)
+    tree = solver_tree(rep)
     values = _node_values(tree, tree.policies_from_profile(profile), range(len(tree.actor)))
     n = tree.num_players
     players = tuple(range(1, n + 1))
@@ -295,7 +306,7 @@ def expected_values(rep: Game, profile: PolicyProfile,
             node_q[nid] = {actions[k]: tuple(rew[i] + values[child][i] for i in range(n))
                            for k, (child, rew) in enumerate(kids)}
 
-    reach = reach or reach_probabilities(rep, profile, tree=tree)
+    reach = reach or reach_probabilities(rep, profile)
     infoset_value = {p: {} for p in players}
     infoset_q = {p: {} for p in players}
     infoset_cf_value = {p: {} for p in players}
@@ -324,10 +335,9 @@ def expected_values(rep: Game, profile: PolicyProfile,
                       infoset_cf_q=infoset_cf_q)
 
 
-def game_value(game: Game, profile: PolicyProfile,
-               *, tree: Optional[SolverTree] = None) -> Tuple[float, ...]:
+def game_value(game: Game, profile: PolicyProfile) -> Tuple[float, ...]:
     """Expected utility vector of a profile (root future value)."""
-    tree = tree or SolverTree(game)
+    tree = solver_tree(game)
     return _node_values(tree, tree.policies_from_profile(profile), range(len(tree.actor)))[0]
 
 
@@ -479,8 +489,7 @@ class CfrState:
 
 
 def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
-            trace_stride: int = 0, record_policies: bool = False,
-            *, tree: Optional[SolverTree] = None) -> CfrResult:
+            trace_stride: int = 0, record_policies: bool = False) -> CfrResult:
     """Run regret matching self-play for ``iterations`` rounds.
 
     ``mode`` selects simultaneous updates of all players per round or one
@@ -488,8 +497,6 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
     owner's own reach. With ``trace_stride`` > 0 the exploitability of the
     running average profile is sampled every that many rounds. Each run owns
     its tables; independent runs over one shared game may execute concurrently.
-    ``tree`` is a prebuilt ``SolverTree`` of ``game``; the trace evaluations
-    reuse it.
     """
     if iterations < 1:
         raise InvalidArgument("iterations must be >= 1")
@@ -497,7 +504,7 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
         raise InvalidArgument(f"unknown mode {mode!r}")
     if trace_stride < 0:
         raise InvalidArgument("trace stride must be >= 0")
-    tree = tree or SolverTree(game)
+    tree = solver_tree(game)
     for p in range(1, tree.num_players + 1):  # ImperfectRecall before the first iteration
         tree.sequences(p)
     state = CfrState(tree)
@@ -522,8 +529,8 @@ def cfr_run(game: Game, iterations: int, mode: str = "simultaneous",
             avg = tree.profile_from_policies(state.average_policies())
             trace.append(TracePoint(
                 iteration=t + 1,
-                exploitability=exploitability(game, avg, tree=tree),
-                value_p1=game_value(game, avg, tree=tree)[0],
+                exploitability=exploitability(game, avg),
+                value_p1=game_value(game, avg)[0],
                 wall_ms=(time.perf_counter() - start) * 1000.0))
     average = tree.profile_from_policies(state.average_policies())
     return CfrResult(regret_table=state.regret_table(), average_profile=average,
@@ -588,32 +595,30 @@ def response_values(tree: SolverTree, policies: Sequence[Optional[Sequence[float
 
 
 def best_response(game: Game, profile: PolicyProfile, player: int,
-                  *, tree: Optional[SolverTree] = None) -> Tuple[Dict[Hashable, str], float]:
+                  ) -> Tuple[Dict[Hashable, str], float]:
     """Best response of one player against a fixed profile.
 
     Opponent infostates must all be covered by ``profile``; the responder's
     entries are ignored. Returns the pure policy as an action per infostate
     and its expected utility against the profile. The responder must have
-    perfect recall; infosets may span depths. ``tree`` is a prebuilt
-    ``SolverTree`` of ``game``.
+    perfect recall; infosets may span depths.
     """
-    tree = tree or SolverTree(game)
+    tree = solver_tree(game)
     policies = tree.policies_from_profile(profile, responder=player)
     root = {0: (1.0,) * (tree.num_players + 1)}
     value, choice, _order = response_values(tree, policies, player, root)
     return {tree.isets[i].key: tree.isets[i].actions[k] for i, k in choice.items()}, value
 
 
-def exploitability(game: Game, profile: PolicyProfile,
-                   *, tree: Optional[SolverTree] = None) -> float:
+def exploitability(game: Game, profile: PolicyProfile) -> float:
     """Average best-response gain against the profile in a two-player zero-sum game."""
-    tree = tree or SolverTree(game)
+    tree = solver_tree(game)
     if tree.num_players != 2:
         raise NotZeroSum("exploitability requires a two-player game")
     if tree.zero_sum_gap > 1e-9:
         raise NotZeroSum(f"terminal utilities sum to {tree.zero_sum_gap} > 1e-9")
-    _, v1 = best_response(game, profile, 1, tree=tree)
-    _, v2 = best_response(game, profile, 2, tree=tree)
+    _, v1 = best_response(game, profile, 1)
+    _, v2 = best_response(game, profile, 2)
     return (v1 + v2) / 2.0
 
 

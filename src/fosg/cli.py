@@ -22,7 +22,7 @@ import time
 from typing import Optional, Tuple
 
 from . import games
-from .cfr import SolverTree, cfr_run, exploitability, game_value
+from .cfr import cfr_run, exploitability, game_value
 from .decomposition import Trunk, cfr_d
 from .dot import export_view, render_key
 from .errors import FosgError, InvalidArgument, NotZeroSum
@@ -177,26 +177,24 @@ def cmd_solve(args) -> int:
 
     started = time.perf_counter()
     try:
-        tree = SolverTree(rep)
         if args.method == "cfr":
-            result = cfr_run(rep, args.iters, mode=args.mode, trace_stride=args.stride,
-                             tree=tree)
+            result = cfr_run(rep, args.iters, mode=args.mode, trace_stride=args.stride)
             profile = result.average_profile
             trace = result.trace
         elif args.method == "cfrd":
             outcome = cfr_d(rep, trunk, args.iters, args.subgame_iters,
-                            trace_stride=args.stride, tree=tree)
+                            trace_stride=args.stride)
             profile = outcome.completed_profile
             trace = outcome.trace
         else:
-            lp = build_sequence_lp(rep, tree=tree)
+            lp = build_sequence_lp(rep)
             solution = solve_zero_sum_lp(lp)
             profile = lp_profile(rep, solution, lp)
             trace = []
             if args.lp_dump:
                 _write_text(args.lp_dump, lp_dump(lp))
-        gap = exploitability(rep, profile, tree=tree)
-        value = game_value(rep, profile, tree=tree)[0]
+        gap = exploitability(rep, profile)
+        value = game_value(rep, profile)[0]
     except FosgError as exc:
         return _solver_failure(exc)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _node_values, _reach_pass,
-                  exploitability, game_value, reach_probabilities, response_values)
+                  exploitability, game_value, response_values, solver_tree)
 from .errors import InconsistentPBS, InvalidArgument, MissingPolicy, UnknownPublicState
 from .model import TICK, FactoredObservation, GameSpec, serialize
 from .unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree,
@@ -216,32 +216,29 @@ def range_at(rep: ExtensiveFormRep, profile: PolicyProfile, public_state: Hashab
     require_form(rep, ExtensiveFormRep, "range_at")
     if public_state not in rep.public_sets:
         raise UnknownPublicState(f"public state {public_state!r} does not occur")
-    padded: PolicyProfile = {p: {} for p in rep.players}
-    for p in rep.players:
-        for key, members in rep.acting_infosets(p).items():
-            given = profile.get(p, {}).get(key)
-            if given is None:
-                member_pub = rep.public_keys[members[0]]
-                if len(member_pub) < len(public_state) and \
-                        public_state[:len(member_pub)] == member_pub:
-                    raise MissingPolicy(
-                        f"no policy for player {p} at infostate {key!r} above the slice")
-                actions = rep.infoset_actions(p, key)
-                given = {a: 1.0 / len(actions) for a in actions}
-            padded[p][key] = given
-    reach = reach_probabilities(rep, padded)
+    tree = solver_tree(rep)
+    policies = tree.uniform_policies()
+    for s in tree.isets:
+        given = profile.get(s.owner, {}).get(s.key)
+        if given is not None:
+            policies[s.index] = [float(given.get(a, 0.0)) for a in s.actions]
+            continue
+        member_pub = rep.public_keys[s.members[0]]
+        if len(member_pub) < len(public_state) and _extends(public_state, member_pub):
+            raise MissingPolicy(
+                f"no policy for player {s.owner} at infostate {s.key!r} above the slice")
+    chance, *reach = _reach_pass(tree, policies, {0: (1.0,) * (tree.num_players + 1)})
     members = rep.public_sets[public_state]
     player_mass: Dict[int, Dict[Hashable, float]] = {}
-    for p in rep.players:
+    for p, reaches in zip(rep.players, reach):
         per: Dict[Hashable, float] = {}
         for m in members:
             key = rep.infostate_keys[p][m]
-            per[key] = per.get(key, 0.0) + reach.player[p][m]
+            per[key] = per.get(key, 0.0) + reaches[m]
         player_mass[p] = per
-    chance_mass = {m: reach.chance[m] for m in members}
-    history_reach = {m: tuple(reach.player[p][m] for p in rep.players) for m in members}
     return Range(public_state=public_state, player_mass=player_mass,
-                 chance_mass=chance_mass, history_player_reach=history_reach)
+                 chance_mass={m: chance[m] for m in members},
+                 history_player_reach={m: tuple(r[m] for r in reach) for m in members})
 
 
 def trivial_pbs(rep: ExtensiveFormRep) -> PublicBeliefState:
@@ -441,18 +438,15 @@ def _boundary_values(tree: SolverTree, solved: Sequence[Optional[List[float]]],
 
 
 def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
-          trace_stride: int = 0, record_policies: bool = False,
-          *, tree: Optional[SolverTree] = None) -> CfrDResult:
+          trace_stride: int = 0, record_policies: bool = False) -> CfrDResult:
     """Trunk-restricted regret minimization with per-iteration leaf subgame solves.
 
     Each round computes reach probabilities through the trunk under the
     current trunk policy, solves every leaf subgame for the resulting range,
     feeds the solved subgames' entry values into the trunk regret update, and
     regret-matches. The returned profile is the unweighted arithmetic mean of
-    the trunk policies produced after each round. Each leaf subgame is solved
-    by ``subgame_budget`` rounds of regret matching with range-substituted
-    reaches. ``tree`` is a prebuilt ``SolverTree`` of the unrolled game; the
-    trace evaluations reuse it.
+    the trunk policies produced after each round. Each leaf subgame is solved by
+    ``subgame_budget`` rounds of regret matching with range-substituted reaches.
     """
     if iterations < 1:
         raise InvalidArgument("iterations must be >= 1")
@@ -462,7 +456,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
         raise InvalidArgument("trace stride must be >= 0")
     rep = _as_rep(game, "cfr_d")
     trunk.validate(rep)
-    tree = tree or SolverTree(rep)
+    tree = solver_tree(rep)
     leaves = _Leaves.below(rep, tree, trunk)
     trunk_isets = [s.index for s in tree.isets
                    if rep.public_keys[s.members[0]] in trunk.keys]
@@ -516,8 +510,8 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
             completed = completed_from(_trunk_average(tree, trunk_isets, policy_sum, t + 1))
             trace.append(TracePoint(
                 iteration=t + 1,
-                exploitability=exploitability(rep, completed, tree=tree),
-                value_p1=game_value(rep, completed, tree=tree)[0],
+                exploitability=exploitability(rep, completed),
+                value_p1=game_value(rep, completed)[0],
                 wall_ms=(time.perf_counter() - start) * 1000.0))
 
     average = _trunk_average(tree, trunk_isets, policy_sum, iterations)
@@ -537,12 +531,12 @@ def _trunk_average(tree: SolverTree, trunk_isets: Sequence[int],
 
 
 def complete_profile(rep: ExtensiveFormRep, trunk: Trunk, trunk_profile: PolicyProfile,
-                     subgame_budget: int, tree: Optional[SolverTree] = None) -> PolicyProfile:
+                     subgame_budget: int) -> PolicyProfile:
     """Extend a trunk profile to the whole game by re-solving every leaf subgame."""
     require_form(rep, ExtensiveFormRep, "complete_profile")
     if subgame_budget < 1:
         raise InvalidArgument("subgame budget must be >= 1")
-    tree = tree or SolverTree(rep)
+    tree = solver_tree(rep)
     leaves = _Leaves.below(rep, tree, trunk)
     policies = tree.uniform_policies()
     for s in tree.isets:

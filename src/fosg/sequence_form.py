@@ -41,8 +41,9 @@ class SequenceSet:
 
 
 def enumerate_sequences(rep, player: int) -> SequenceSet:
-    """Build the sequence set of one player in parent-before-child order."""
-    return _sequences(rep, player)[0]
+    """The sequence set of one player in parent-before-child order, built once per game."""
+    from .cfr import solver_tree  # a deferred import: cfr imports this module
+    return solver_tree(rep).sequences(player)[0]
 
 
 def _sequences(game, player: int) -> Tuple[SequenceSet, List[int]]:
@@ -95,22 +96,21 @@ class SequenceLP:
     f_vector: np.ndarray
 
 
-def _two_player_tree(rep, tree):
-    """``tree``, or the ``SolverTree`` of ``rep``; raises NotZeroSum unless it has two players."""
-    if tree is None:
-        from .cfr import SolverTree  # a deferred import: cfr imports this module
-        tree = SolverTree(rep)
+def _two_player_tree(rep):
+    """The ``SolverTree`` of ``rep``; raises NotZeroSum unless it has two players."""
+    from .cfr import solver_tree  # a deferred import: cfr imports this module
+    tree = solver_tree(rep)
     if tree.num_players != 2:
         raise NotZeroSum("the sequence-form program requires two players")
     return tree
 
 
-def payoff_matrix(rep, *, tree=None) -> np.ndarray:
+def payoff_matrix(rep) -> np.ndarray:
     """A[s, t] sums chance weight times player 1's utility over terminals with those sequences.
 
-    Takes either tree form; ``tree`` is a prebuilt ``SolverTree`` of ``rep``.
+    Takes either tree form.
     """
-    tree = _two_player_tree(rep, tree)
+    tree = _two_player_tree(rep)
     (seqs1, last1), (seqs2, last2) = tree.sequences(1), tree.sequences(2)
     a = np.zeros((len(seqs1), len(seqs2)))
     for nid, weight, utility in tree.terminals:
@@ -120,8 +120,7 @@ def payoff_matrix(rep, *, tree=None) -> np.ndarray:
 
 def constraint_matrices(rep, player: int) -> Tuple[np.ndarray, np.ndarray]:
     """Realization-plan constraints as (matrix, vector): row 0 pins the empty sequence."""
-    seqs = enumerate_sequences(rep, player)
-    return _constraint_matrices(seqs)
+    return _constraint_matrices(enumerate_sequences(rep, player))
 
 
 def _constraint_matrices(seqs: SequenceSet) -> Tuple[np.ndarray, np.ndarray]:
@@ -137,14 +136,14 @@ def _constraint_matrices(seqs: SequenceSet) -> Tuple[np.ndarray, np.ndarray]:
     return e, vec
 
 
-def build_sequence_lp(rep, *, tree=None) -> SequenceLP:
-    """The sequence-form program of either tree form, read off ``tree`` (built when absent)."""
-    tree = _two_player_tree(rep, tree)
+def build_sequence_lp(rep) -> SequenceLP:
+    """The sequence-form program of either tree form, read off its ``SolverTree``."""
+    tree = _two_player_tree(rep)
     row, col = tree.sequences(1)[0], tree.sequences(2)[0]
     e_mat, e_vec = _constraint_matrices(row)
     f_mat, f_vec = _constraint_matrices(col)
     return SequenceLP(row_sequences=row, col_sequences=col,
-                      payoff=payoff_matrix(rep, tree=tree),
+                      payoff=payoff_matrix(rep),
                       e_matrix=e_mat, e_vector=e_vec,
                       f_matrix=f_mat, f_vector=f_vec)
 

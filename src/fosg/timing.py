@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .errors import InvalidTiming
-from .unroll import ClassicalEFG, EfgNode, _union_find, add_efg_node, require_form
+from .unroll import ClassicalEFG, EfgNode, TreeForm, _union_find, add_efg_node, require_form
 
 WitnessStep = Tuple  # ("edge", parent, child) | ("infoset", a, b, player, key)
 
@@ -36,7 +36,7 @@ def validate_timing(efg: ClassicalEFG, timing: Timing) -> List[str]:
     """All timing-constraint violations of ``timing`` on ``efg`` (empty = valid)."""
     problems = []
     labels = timing.labels
-    for node in efg.nodes:
+    for node in require_form(efg, TreeForm, "validate_timing").nodes:
         label = labels.get(node.id)
         if label is None:
             problems.append(f"node {node.id} has no label")
@@ -112,7 +112,7 @@ def find_exact_timing(efg: ClassicalEFG) -> Tuple[Optional[Timing], Optional[Lis
     returns ``(None, witness)`` where the witness alternates tree edges with
     infoset equalities and closes on itself.
     """
-    nodes = efg.nodes
+    nodes = require_form(efg, TreeForm, "find_exact_timing").nodes
     roots = _union_find(len(nodes), (
         members for cells in efg.infosets.values() for members in cells.values()))
     # One tree edge per pair of classes, named by its child; a class is named
@@ -182,9 +182,9 @@ def verify_witness(efg: ClassicalEFG, witness: List[WitnessStep]) -> bool:
     Answers False, without raising, for an unknown step tag, a step of the
     wrong length or a node id outside the tree.
     """
+    count = len(require_form(efg, TreeForm, "verify_witness").nodes)
     if not witness:
         return False
-    count = len(efg.nodes)
     edge_steps = 0
     for step in witness:
         if not ((len(step) == 3 and step[0] == "edge") or

@@ -108,7 +108,10 @@ class EfgNode:
 
 @dataclass
 class ClassicalEFG(TreeForm):
-    """A game tree whose information partitions cover only the acting player's nodes."""
+    """A game tree whose information partitions cover only the acting player's nodes.
+
+    Treated as immutable once built; concurrent read-only traversal is safe.
+    """
 
     num_players: int
     nodes: List[EfgNode]
@@ -727,7 +730,7 @@ def _tabulate_tree(rep: ExtensiveFormRep, node_ids: Iterable[int],
 
 def is_one_timeable(efg: ClassicalEFG) -> bool:
     """True when every classical infoset is depth-homogeneous."""
-    for cells in efg.infosets.values():
+    for cells in require_form(efg, TreeForm, "is_one_timeable").infosets.values():
         for members in cells.values():
             depths = {efg.nodes[m].depth for m in members}
             if len(depths) > 1:

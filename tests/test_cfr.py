@@ -1,15 +1,21 @@
 """Reach probabilities, values, regret matching, self-play, best response."""
 
 import copy
+import dataclasses
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fosg
 from fosg.cfr import (CfrState, SolverTree, best_response, cfr_run, exploitability,
-                      expected_values, reach_probabilities, regret_matching, response_values)
-from fosg.decomposition import Trunk, _boundary_values, _Leaves, cfr_d, complete_profile
+                      expected_values, game_value, reach_probabilities, regret_matching,
+                      response_values, solver_tree, uniform_profile)
+from fosg.decomposition import (Trunk, _boundary_values, _Leaves, cfr_d, complete_profile,
+                                range_at)
+from fosg.sequence_form import build_sequence_lp, enumerate_sequences, payoff_matrix
 from fosg.errors import DepthExceeded, ImperfectRecall, InvalidArgument, MissingPolicy, NotZeroSum
 from fosg.io import efg_from_json
 
@@ -444,15 +450,61 @@ def test_best_response_requires_perfect_recall_of_the_responder():
         exploitability(efg, profile)
 
 
-def test_prebuilt_tree_gives_identical_results(kuhn_rep):
-    rng = random.Random(5)
-    for rep in [kuhn_rep] + [oracles.zero_sum_random_rep(seed) for seed in (1, 2, 3)]:
-        tree = SolverTree(rep)
-        for _ in range(2):
-            profile = random_profile(rep, rng)
-            assert exploitability(rep, profile, tree=tree) == exploitability(rep, profile)
-            assert fosg.game_value(rep, profile, tree=tree) == fosg.game_value(rep, profile)
-            assert expected_values(rep, profile, tree=tree) == expected_values(rep, profile)
+def test_one_game_compiles_one_solver_tree(monkeypatch):
+    built = []
+
+    def counting(game):  # a plain function in the class's place, as the span recorder wraps it
+        built.append(game)
+        return SolverTree(game)
+
+    monkeypatch.setattr(fosg.cfr, "SolverTree", counting)
+    rep = oracles.zero_sum_random_rep(0, depth=7)
+    trunk = Trunk.from_depth(rep, 2)
+    leaves = trunk.leaves(rep)
+    assert len(leaves) == 2
+    profile = uniform_profile(rep)
+    reach_probabilities(rep, profile)
+    expected_values(rep, profile)
+    game_value(rep, profile)
+    cfr_run(rep, 2, trace_stride=1)
+    best_response(rep, profile, 1)
+    exploitability(rep, profile)
+    cfr_d(rep, trunk, 2, 2, trace_stride=1)
+    complete_profile(rep, trunk, {}, 2)
+    lp = build_sequence_lp(rep)
+    payoff_matrix(rep)
+    for key in leaves:
+        range_at(rep, profile, key)
+    assert built == [rep]
+    assert lp.row_sequences is enumerate_sequences(rep, 1)
+
+
+def test_the_compiled_tree_stays_out_of_the_game_fields(kuhn_spec):
+    rep, twin = fosg.unroll(kuhn_spec), fosg.unroll(kuhn_spec)
+    tree = solver_tree(rep)
+    assert solver_tree(rep) is tree and tree.game is rep
+    assert rep == twin and repr(rep) == repr(twin)
+    assert solver_tree(dataclasses.replace(rep)) is not tree
+    copied = copy.deepcopy(rep)
+    carried = vars(copied)["_solver_tree"]
+    assert carried is not tree and carried.game is copied and solver_tree(copied) is carried
+
+
+def test_concurrent_runs_on_one_fresh_game_match_a_sequential_run():
+    sequential = cfr_run(oracles.zero_sum_random_rep(3, depth=6), 40)
+    rep = oracles.zero_sum_random_rep(3, depth=6)
+    assert "_solver_tree" not in vars(rep)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads interleave inside the first tree build
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(cfr_run, rep, 40) for _ in range(2)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        assert result.regret_table == sequential.regret_table
+        assert result.average_profile == sequential.average_profile
 
 
 def test_observable_rewards_check(kuhn_rep):

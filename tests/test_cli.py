@@ -460,7 +460,8 @@ def test_output_that_fails_when_written_exits_2(capsys, monkeypatch, tmp_path, a
         directory.rmdir()
         return SolverTree(rep)
 
-    monkeypatch.setattr(cli, "SolverTree", remove_directory_then_build)
+    # The directory vanishes as the solve compiles the game's tree, after every check.
+    monkeypatch.setattr(fosg.cfr, "SolverTree", remove_directory_then_build)
     code, _, err = run_cli(capsys, argv[0], argv[1], "--game", "kuhn", *argv[2:], str(path))
     assert code == 2
     assert err.splitlines() == [f"cannot write {path}: No such file or directory"]

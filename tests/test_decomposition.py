@@ -423,6 +423,51 @@ def test_subgame_keeps_zero_mass_branches(kuhn_rep):
     assert len(zero_mass) == 4
 
 
+def _range_from_reach_table(rep, profile, public_state) -> Range:
+    """``range_at`` read off the full reach table of the uniformly padded profile."""
+    padded = {p: {} for p in rep.players}
+    for p in rep.players:
+        for key in rep.acting_infosets(p):
+            given = profile.get(p, {}).get(key)
+            if given is None:
+                actions = rep.infoset_actions(p, key)
+                given = {a: 1.0 / len(actions) for a in actions}
+            padded[p][key] = given
+    reach = reach_probabilities(rep, padded)
+    members = rep.public_sets[public_state]
+    player_mass = {}
+    for p in rep.players:
+        per = player_mass[p] = {}
+        for m in members:
+            key = rep.infostate_keys[p][m]
+            per[key] = per.get(key, 0.0) + reach.player[p][m]
+    return Range(public_state=public_state, player_mass=player_mass,
+                 chance_mass={m: reach.chance[m] for m in members},
+                 history_player_reach={m: tuple(reach.player[p][m] for p in rep.players)
+                                       for m in members})
+
+
+def _strictly_above(rep, player, infostate, public_state) -> bool:
+    pub = rep.public_keys[rep.infosets[player][infostate][0]]
+    return len(pub) < len(public_state) and public_state[:len(pub)] == pub
+
+
+def test_range_at_equals_the_slice_of_the_full_reach_table():
+    rng = random.Random(17)
+    checked = 0
+    for seed in range(8):
+        rep = fosg.unroll(fosg.random_fosg(seed, depth=5))
+        full = random_profile(rep, rng)
+        for key in rep.public_sets:
+            # Keep every policy above the slice and about half of the others.
+            profile = {p: {k: v for k, v in per.items()
+                           if rng.random() < 0.5 or _strictly_above(rep, p, k, key)}
+                       for p, per in full.items()}
+            assert range_at(rep, profile, key) == _range_from_reach_table(rep, profile, key)
+            checked += 1
+    assert checked > 200
+
+
 def test_range_at_accepts_trunk_only_profile(kuhn_rep):
     from fosg.errors import MissingPolicy
 

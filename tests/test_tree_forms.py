@@ -42,7 +42,8 @@ ROOT_TRUNK = Trunk(keys=frozenset({()}))
 
 
 def _depth_timing(game) -> Timing:
-    return Timing(labels={node.id: node.depth for node in game.nodes})
+    # A game spec has no nodes; its empty timing leaves the refusal to the analysis.
+    return Timing(labels={node.id: node.depth for node in getattr(game, "nodes", ())})
 
 
 def _lp_profile(game):
@@ -117,6 +118,14 @@ def test_every_analysis_takes_either_tree_form_or_fails_typed(name):
             assert type(game).__name__ in str(caught.value)
 
 
+@pytest.mark.parametrize("name", sorted(name for name, (_call, outcomes) in ANALYSES.items()
+                                         if outcomes == BOTH))
+def test_tree_analyses_refuse_a_game_spec_typed(name):
+    call, _outcomes = ANALYSES[name]
+    with pytest.raises(InvalidArgument, match="got GameSpec"):
+        call(fosg.kuhn_poker())
+
+
 def test_the_refusal_names_both_forms():
     with pytest.raises(InvalidArgument, match="range_at needs ExtensiveFormRep input, "
                                               "got ClassicalEFG"):
@@ -147,14 +156,6 @@ def test_classical_kuhn_lp_is_bitwise_the_unrolled_and_augmented_lp():
     assert solved.game_value == pytest.approx(-1 / 18, abs=1e-12)
 
 
-def test_prebuilt_tree_gives_the_same_lp():
-    tree = SolverTree(KUHN)
-    lp = build_sequence_lp(KUHN, tree=tree)
-    assert _bits(lp.payoff) == _bits(payoff_matrix(KUHN))
-    assert _bits(payoff_matrix(KUHN, tree=tree)) == _bits(lp.payoff)
-    assert lp.row_sequences is tree.sequences(1)[0]
-
-
 def test_figure_3_lp_solves_with_value_zero_and_an_unexploitable_profile():
     lp = build_sequence_lp(FIGURE_3)
     solution = solve_zero_sum_lp(lp)
@@ -171,12 +172,11 @@ def test_lp_profiles_of_random_classical_trees_are_equilibria():
                 with pytest.raises(ImperfectRecall):
                     build_sequence_lp(efg)
                 continue
-            tree = SolverTree(efg)
-            lp = build_sequence_lp(efg, tree=tree)
+            lp = build_sequence_lp(efg)
             solution = solve_zero_sum_lp(lp)
             profile = lp_profile(efg, solution, lp)
-            assert exploitability(efg, profile, tree=tree) <= 1e-9, (depth, seed)
-            value = game_value(efg, profile, tree=tree)[0]
+            assert exploitability(efg, profile) <= 1e-9, (depth, seed)
+            value = game_value(efg, profile)[0]
             assert value == pytest.approx(solution.game_value, abs=1e-9), (depth, seed)
             solved += 1
     assert solved == 75
