@@ -350,6 +350,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("FOSG_LOG", "WARNING").upper())
     args = _parser().parse_args(argv)
+    if args.command == "solve" and args.method != "lp" and args.lp_dump:
+        print(f"--lp-dump applies to solve lp and export, not solve {args.method}",
+              file=sys.stderr)
+        return 2
     for option in OUTPUT_OPTIONS:
         path = getattr(args, option, None)
         reason = _unwritable_reason(path) if path else None

@@ -17,15 +17,8 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence,
 from .cfr import (CfrState, PolicyProfile, SolverTree, TracePoint, _node_values, _reach_pass,
                   exploitability, game_value, response_values, solver_tree)
 from .errors import InconsistentPBS, InvalidArgument, MissingPolicy, UnknownPublicState
-from .model import TICK, FactoredObservation, GameSpec, serialize
-from .unroll import (CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree,
-                     require_form, unroll)
-
-
-def _as_rep(game, analysis: str) -> ExtensiveFormRep:
-    if isinstance(game, GameSpec):
-        return unroll(serialize(game))
-    return require_form(game, ExtensiveFormRep, analysis)
+from .model import TICK, FactoredObservation, GameSpec
+from .unroll import CHANCE_ACTOR, TERMINAL_ACTOR, ExtensiveFormRep, _tabulate_tree, require_form
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +249,7 @@ def trivial_pbs(rep: ExtensiveFormRep) -> PublicBeliefState:
 # Materialized subgames
 
 
-def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
+def build_subgame(rep: ExtensiveFormRep, pbs: PublicBeliefState) -> GameSpec:
     """Materialize the game that restarts play at a public belief state.
 
     A playerless initial state samples a member history with its normalized
@@ -267,7 +260,7 @@ def build_subgame(game, pbs: PublicBeliefState) -> GameSpec:
     Raises ``OutcomeDependentReward`` when a chance node below the public
     state pays different rewards on different outcomes.
     """
-    rep = _as_rep(game, "build_subgame")
+    require_form(rep, ExtensiveFormRep, "build_subgame")
     key = pbs.public_state
     if key not in rep.public_sets:
         raise UnknownPublicState(f"public state {key!r} does not occur")
@@ -437,7 +430,7 @@ def _boundary_values(tree: SolverTree, solved: Sequence[Optional[List[float]]],
     return {h: [values[h][p] for p, values in enumerate(per_player)] for h in seeds}
 
 
-def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
+def cfr_d(rep: ExtensiveFormRep, trunk: Trunk, iterations: int, subgame_budget: int,
           trace_stride: int = 0, record_policies: bool = False) -> CfrDResult:
     """Trunk-restricted regret minimization with per-iteration leaf subgame solves.
 
@@ -454,7 +447,7 @@ def cfr_d(game, trunk: Trunk, iterations: int, subgame_budget: int,
         raise InvalidArgument("subgame budget must be >= 1")
     if trace_stride < 0:
         raise InvalidArgument("trace stride must be >= 0")
-    rep = _as_rep(game, "cfr_d")
+    require_form(rep, ExtensiveFormRep, "cfr_d")
     trunk.validate(rep)
     tree = solver_tree(rep)
     leaves = _Leaves.below(rep, tree, trunk)

@@ -6,10 +6,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import InvalidArgument
-from .model import CHANCE, NOOP, FactoredObservation, GameSpec, JointKey
+from .model import CHANCE, NOOP, FactoredObservation, GameSpec, SpecTables
 from .timing import Timing, find_exact_timing
 from .unroll import ClassicalEFG, EfgNode, ExtensiveFormRep, _augmented, add_efg_node
 
@@ -42,7 +42,7 @@ def catalog() -> Dict[str, "Fixture"]:
     )}
 
 
-def _kuhn_tables(explicit_chance: bool):
+def _kuhn_tables(explicit_chance: bool) -> GameSpec:
     """Shared construction for the Kuhn fixtures.
 
     Antes are paid on the dealing transition and bets when placed, so rewards
@@ -51,41 +51,24 @@ def _kuhn_tables(explicit_chance: bool):
     """
     players = (1, 2)
     deals = [(a, b) for a in CARDS for b in CARDS if a != b]
-
-    states: List[str] = ["deal"]
-    player_fn: Dict[str, FrozenSet[int]] = {}
-    legal: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
-    rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
-    observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
+    tables = SpecTables(2)
     chance_policy: Optional[Dict[str, Dict[str, float]]] = None
-
-    def joint(assignment: Dict[int, str], chance_action: Optional[str] = None) -> JointKey:
-        core = tuple(assignment.get(p, NOOP) for p in players)
-        if explicit_chance:
-            return (chance_action if chance_action is not None else NOOP,) + core
-        return core
+    chance_slot = (NOOP,) if explicit_chance else ()
 
     deal_obs = {
         (a, b): FactoredObservation(private=(a, b), public="dealt") for a, b in deals
     }
     if explicit_chance:
-        player_fn["deal"] = frozenset({CHANCE})
         deal_actions = tuple(f"{a}{b}" for a, b in deals)
-        legal[("deal", CHANCE)] = deal_actions
+        tables.state("deal", {CHANCE: deal_actions})
         chance_policy = {"deal": {act: 1.0 / len(deals) for act in deal_actions}}
         for a, b in deals:
-            key = ("deal", joint({}, chance_action=f"{a}{b}"))
-            transitions[key] = {f"{a}{b}:": 1.0}
-            rewards[key] = (-1.0, -1.0)
-            observations[key + (f"{a}{b}:",)] = deal_obs[(a, b)]
+            tables.move("deal", (f"{a}{b}", NOOP, NOOP), (-1.0, -1.0),
+                        {f"{a}{b}:": (1.0, deal_obs[(a, b)])})
     else:
-        player_fn["deal"] = frozenset()
-        key = ("deal", joint({}))
-        transitions[key] = {f"{a}{b}:": 1.0 / len(deals) for a, b in deals}
-        rewards[key] = (-1.0, -1.0)
-        for a, b in deals:
-            observations[key + (f"{a}{b}:",)] = deal_obs[(a, b)]
+        tables.state("deal", {})
+        tables.move("deal", (NOOP, NOOP), (-1.0, -1.0),
+                    {f"{a}{b}:": (1.0 / len(deals), deal_obs[(a, b)]) for a, b in deals})
 
     def winner(a: str, b: str) -> int:
         return 1 if CARDS.index(a) > CARDS.index(b) else 2
@@ -99,11 +82,8 @@ def _kuhn_tables(explicit_chance: bool):
 
         def add_move(state_line: str, player: int, action: str, target: str,
                      reward: Tuple[float, float], obs: FactoredObservation) -> None:
-            state = f"{d}:{state_line}"
-            key = (state, joint({player: action}))
-            transitions[key] = {target: 1.0}
-            rewards[key] = reward
-            observations[key + (target,)] = obs
+            joint = chance_slot + tuple(action if p == player else NOOP for p in players)
+            tables.move(f"{d}:{state_line}", joint, reward, {target: (1.0, obs)})
 
         act_obs = lambda name: FactoredObservation(private=(BLANK, BLANK), public=name)
         showdown_obs = FactoredObservation(private=(b, a), public="showdown")
@@ -112,10 +92,7 @@ def _kuhn_tables(explicit_chance: bool):
                                       ("k", 2, ("check", "bet")),
                                       ("b", 2, ("fold", "call")),
                                       ("kb", 1, ("fold", "call"))):
-            state = f"{d}:{line}"
-            states.append(state)
-            player_fn[state] = frozenset({player})
-            legal[(state, player)] = actions
+            tables.state(f"{d}:{line}", {player: actions})
 
         pot2 = (2.0 if won == 1 else 0.0, 2.0 if won == 2 else 0.0)
         pot4 = (4.0 if won == 1 else 0.0, 4.0 if won == 2 else 0.0)
@@ -132,20 +109,9 @@ def _kuhn_tables(explicit_chance: bool):
                  (pot4[0], pot4[1] - 1.0), showdown_obs)
 
         for line in ("kk", "kbf", "kbc", "bf", "bc"):
-            states.append(terminal(line))
-            player_fn[terminal(line)] = frozenset()
+            tables.state(terminal(line), {})
 
-    return GameSpec(
-        num_players=2,
-        states=tuple(states),
-        initial_state="deal",
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-        chance_policy=chance_policy,
-    )
+    return tables.spec(chance_policy=chance_policy)
 
 
 def kuhn_poker() -> GameSpec:
@@ -160,41 +126,20 @@ def kuhn_poker_chance_variant() -> GameSpec:
 
 def matching_pennies() -> GameSpec:
     """One simultaneous decision, two actions per player, zero-sum match/mismatch payoffs."""
-    players = (1, 2)
     actions = ("heads", "tails")
-    states = ["start", "play"] + [f"mp:{x}{y}" for x in actions for y in actions]
-    player_fn = {"start": frozenset(), "play": frozenset(players)}
-    legal = {("play", p): actions for p in players}
-    transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
-    rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
-    observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
-
-    noop = (NOOP, NOOP)
-    transitions[("start", noop)] = {"play": 1.0}
-    rewards[("start", noop)] = (0.0, 0.0)
-    observations[("start", noop, "play")] = FactoredObservation(private=(BLANK, BLANK),
-                                                                public="begin")
+    tables = SpecTables(2)
+    tables.state("start", {})
+    tables.state("play", {p: actions for p in (1, 2)})
+    tables.move("start", (NOOP, NOOP), (0.0, 0.0),
+                {"play": (1.0, FactoredObservation(private=(BLANK, BLANK), public="begin"))})
     for x in actions:
         for y in actions:
             term = f"mp:{x}{y}"
-            player_fn[term] = frozenset()
-            key = ("play", (x, y))
-            transitions[key] = {term: 1.0}
+            tables.state(term, {})
             gain = 1.0 if x == y else -1.0
-            rewards[key] = (gain, -gain)
-            observations[key + (term,)] = FactoredObservation(private=(BLANK, BLANK),
-                                                              public=f"{x}|{y}")
-
-    return GameSpec(
-        num_players=2,
-        states=tuple(states),
-        initial_state="start",
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-    )
+            tables.move("play", (x, y), (gain, -gain),
+                        {term: (1.0, FactoredObservation(private=(BLANK, BLANK), public=f"{x}|{y}"))})
+    return tables.spec()
 
 
 # ---------------------------------------------------------------------------
@@ -330,53 +275,37 @@ def random_fosg(seed: int, depth: int = 4, branching: int = 2, players: int = 2,
         count = rng.randint(2, width + 1)
         level_states.append([f"w{lvl}.{i}" for i in range(count)])
 
-    states: List[str] = [s for lvl in level_states for s in lvl]
-    player_fn: Dict[str, FrozenSet[int]] = {}
-    legal: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
-    rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
-    observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
-
     # Assign actors and action sets first so observations can carry each
     # successor's acting pattern (keeps legal actions deducible from infostates).
-    state_terminal: Dict[str, bool] = {}
+    tables = SpecTables(players)
+    pattern: Dict[str, str] = {}
     for lvl, bucket in enumerate(level_states):
         for state in bucket:
-            if lvl == depth:
-                player_fn[state] = frozenset()
-                state_terminal[state] = True
-                continue
-            state_terminal[state] = False
-            if lvl == 0:
-                player_fn[state] = frozenset()
+            if lvl in (0, depth):
+                actors = []
             elif serial:
-                player_fn[state] = frozenset() if rng.random() < 0.3 else \
-                    frozenset({rng.choice(pls)})
+                actors = [] if rng.random() < 0.3 else [rng.choice(pls)]
             else:
-                k = rng.randint(0, players)
-                player_fn[state] = frozenset(rng.sample(pls, k)) if k else frozenset()
-            for p in sorted(player_fn[state]):
-                n_actions = rng.randint(2, branching + 1)
-                legal[(state, p)] = tuple(f"a{p}.{j}" for j in range(n_actions))
-
-    def acting_pattern(state: str) -> str:
-        if state_terminal[state]:
-            return "t"
-        active = sorted(player_fn[state])
-        if not active:
-            return "c"
-        return "p" + ",".join(f"{i}:{len(legal[(state, i)])}" for i in active)
+                actors = rng.sample(pls, rng.randint(0, players))
+            actions = {p: tuple(f"a{p}.{j}" for j in range(rng.randint(2, branching + 1)))
+                       for p in sorted(actors)}
+            tables.state(state, actions)
+            if lvl == depth:
+                pattern[state] = "t"
+            elif actions:
+                pattern[state] = "p" + ",".join(f"{p}:{len(acts)}" for p, acts in actions.items())
+            else:
+                pattern[state] = "c"
 
     for lvl, bucket in enumerate(level_states[:-1]):
         nxt = level_states[lvl + 1]
         for state in bucket:
-            active = sorted(player_fn[state])
-            combos = itertools.product(*(legal[(state, p)] for p in active)) if active else [()]
-            for combo in combos:
+            active = sorted(tables.player_fn[state])
+            actions = [tables.legal_actions[(state, p)] for p in active]
+            for combo in itertools.product(*actions):
                 joint = tuple(combo[active.index(p)] if p in active else NOOP for p in pls)
                 if serial and active:
-                    support = [rng.choice(nxt)]
-                    dist = {support[0]: 1.0}
+                    dist = {rng.choice(nxt): 1.0}
                 else:
                     k = rng.randint(1, min(2, len(nxt)))
                     support = rng.sample(nxt, k)
@@ -384,26 +313,15 @@ def random_fosg(seed: int, depth: int = 4, branching: int = 2, players: int = 2,
                     total = sum(raw)
                     dist = {s: r / total for s, r in zip(support, raw)}
                     dist[support[-1]] += 1.0 - sum(dist.values())
-                transitions[(state, joint)] = dist
-                rewards[(state, joint)] = tuple(round(rng.uniform(-2, 2), 3) for _ in pls)
-                for succ in dist:
+                reward = tuple(round(rng.uniform(-2, 2), 3) for _ in pls)
+                successors = {}
+                for succ, prob in dist.items():
                     pub = f"P{rng.randrange(obs_alphabet)}.{lvl}"
-                    priv = tuple(
-                        f"o{p}.{rng.randrange(obs_alphabet)}.{acting_pattern(succ)}"
-                        for p in pls)
-                    observations[(state, joint, succ)] = FactoredObservation(private=priv,
-                                                                             public=pub)
+                    priv = tuple(f"o{p}.{rng.randrange(obs_alphabet)}.{pattern[succ]}" for p in pls)
+                    successors[succ] = (prob, FactoredObservation(private=priv, public=pub))
+                tables.move(state, joint, reward, successors)
 
-    return GameSpec(
-        num_players=players,
-        states=tuple(states),
-        initial_state="w0.0",
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-    )
+    return tables.spec()
 
 
 def random_timeable_efg(seed: int, depth: int = 4, branching: int = 2,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Tuple
 
 from .errors import (DepthExceeded, IllegalAction, InvalidArgument, MissingChancePolicy,
@@ -128,6 +128,61 @@ class GameSpec:
             else:
                 choices.append((NOOP,))
         return [tuple(c) for c in itertools.product(*choices)]
+
+
+class SpecTables:
+    """The one writer of a game's tables.
+
+    ``state`` declares a state with each active actor's legal actions, and
+    ``move`` writes one move's transition, reward and observations together.
+    The tables keep the order of the calls that wrote them.
+    """
+
+    def __init__(self, num_players: int) -> None:
+        self.num_players = num_players
+        self.states: List[str] = []
+        self.player_fn: Dict[str, FrozenSet[int]] = {}
+        self.legal_actions: Dict[Tuple[str, int], Tuple[str, ...]] = {}
+        self.transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
+        self.rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
+        self.observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
+
+    def state(self, name: str, actions: Mapping[int, Tuple[str, ...]]) -> None:
+        """Declare ``name``, active for exactly the actors that ``actions`` keys."""
+        self.states.append(name)
+        self.player_fn[name] = frozenset(actions)
+        for actor, acts in actions.items():
+            self.legal_actions[(name, actor)] = acts
+
+    def move(self, state: str, joint: JointKey, reward: Tuple[float, ...],
+             successors: Mapping[str, Tuple[float, Optional[FactoredObservation]]]) -> None:
+        """Write the move ``joint`` at ``state``: its reward, and each successor's
+        probability and observation.
+
+        An observation of None leaves that successor's observation unwritten.
+        """
+        key = (state, joint)
+        self.transitions[key] = {succ: prob for succ, (prob, _obs) in successors.items()}
+        self.rewards[key] = reward
+        for succ, (_prob, obs) in successors.items():
+            if obs is not None:
+                self.observations[key + (succ,)] = obs
+
+    def spec(self, initial_state: Optional[str] = None,
+             chance_policy: Optional[Mapping[str, Mapping[str, float]]] = None) -> GameSpec:
+        """The written game, which starts at the first declared state unless told
+        otherwise. It shares the tables, so nothing is written after this call."""
+        return GameSpec(
+            num_players=self.num_players,
+            states=tuple(self.states),
+            initial_state=self.states[0] if initial_state is None else initial_state,
+            player_fn=self.player_fn,
+            legal_actions=self.legal_actions,
+            transitions=self.transitions,
+            rewards=self.rewards,
+            observations=self.observations,
+            chance_policy=chance_policy,
+        )
 
 
 @dataclass(frozen=True)
@@ -406,17 +461,8 @@ def merge_chance(spec: GameSpec) -> GameSpec:
         if prev_r != reward:
             raise InvalidArgument(f"ambiguous reward while merging chance at {state!r}")
 
-    return GameSpec(
-        num_players=spec.num_players,
-        states=spec.states,
-        initial_state=spec.initial_state,
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-        chance_policy=None,
-    )
+    return replace(spec, player_fn=player_fn, legal_actions=legal, transitions=transitions,
+                   rewards=rewards, observations=observations, chance_policy=None)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +476,7 @@ def is_serial(spec: GameSpec) -> bool:
     stochastically. Specs with an explicit chance actor are judged after
     merging it.
     """
-    if spec.has_chance_actor:
-        return is_serial(merge_chance(spec))
+    spec = merge_chance(spec)
     return all(_is_serial_state(spec, state) for state in spec.states)
 
 
@@ -466,40 +511,31 @@ def serialize(spec: GameSpec) -> GameSpec:
     States that already satisfy the serial shape are kept verbatim, so a
     serial input is returned unchanged.
     """
-    if spec.has_chance_actor:
-        spec = merge_chance(spec)
+    spec = merge_chance(spec)
     if is_serial(spec):
         return spec
 
     tick_obs = FactoredObservation(private=tuple(TICK for _ in spec.players), public=TICK)
     zero = tuple(0.0 for _ in spec.players)
     noop_joint = tuple(NOOP for _ in spec.players)
-
-    states: List[str] = []
-    player_fn: Dict[str, FrozenSet[int]] = {}
-    legal: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
-    rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
-    observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
+    tables = SpecTables(spec.num_players)
 
     def single_slot(player: int, action: str) -> JointKey:
         return tuple(action if p == player else NOOP for p in spec.players)
 
+    def copy_move(name: str, joint: JointKey, state: str, original: JointKey) -> None:
+        """Write the move ``original`` at ``state`` as the move ``joint`` at ``name``."""
+        tables.move(name, joint, spec.rewards[(state, original)], {
+            succ: (prob, spec.observations.get((state, original, succ)))
+            for succ, prob in spec.transitions[(state, original)].items()})
+
     for state in spec.states:
         players = spec.active_players(state)
         if _is_serial_state(spec, state):
-            states.append(state)
-            player_fn[state] = spec.player_fn.get(state, frozenset())
-            for actor in players:
-                legal[(state, actor)] = spec.legal_actions[(state, actor)]
+            tables.state(state, {actor: spec.legal_actions[(state, actor)] for actor in players})
             for joint in spec.joint_actions(state):
-                key = (state, joint)
-                if key in spec.transitions:
-                    transitions[key] = dict(spec.transitions[key])
-                    rewards[key] = spec.rewards[key]
-                    for succ, prob in spec.transitions[key].items():
-                        if (state, joint, succ) in spec.observations:
-                            observations[(state, joint, succ)] = spec.observations[(state, joint, succ)]
+                if (state, joint) in spec.transitions:
+                    copy_move(state, joint, state, joint)
             continue
 
         # Decision cascade in ascending player order; the first decision state
@@ -509,44 +545,23 @@ def serialize(spec: GameSpec) -> GameSpec:
         for idx, player in enumerate(order):
             for prefix in prefixes:
                 name = state if idx == 0 else _serial_name(state, player, prefix)
-                states.append(name)
-                player_fn[name] = frozenset({player})
-                legal[(name, player)] = spec.legal_actions[(state, player)]
+                tables.state(name, {player: spec.legal_actions[(state, player)]})
                 for action in spec.legal_actions[(state, player)]:
                     extended = prefix + (action,)
                     if idx + 1 < len(order):
                         target = _serial_name(state, order[idx + 1], extended)
                     else:
                         target = _chance_name(state, extended)
-                    joint = single_slot(player, action)
-                    transitions[(name, joint)] = {target: 1.0}
-                    rewards[(name, joint)] = zero
-                    observations[(name, joint, target)] = tick_obs
+                    tables.move(name, single_slot(player, action), zero, {target: (1.0, tick_obs)})
             prefixes = [p + (a,) for p in prefixes for a in spec.legal_actions[(state, player)]]
 
         # Resolution states apply the original transition, rewards, observations.
         for combo in prefixes:
             name = _chance_name(state, combo)
-            states.append(name)
-            player_fn[name] = frozenset()
-            original = spec.joint_for(state, dict(zip(order, combo)))
-            transitions[(name, noop_joint)] = dict(spec.transitions[(state, original)])
-            rewards[(name, noop_joint)] = spec.rewards[(state, original)]
-            for succ, prob in spec.transitions[(state, original)].items():
-                if (state, original, succ) in spec.observations:
-                    observations[(name, noop_joint, succ)] = spec.observations[(state, original, succ)]
+            tables.state(name, {})
+            copy_move(name, noop_joint, state, spec.joint_for(state, dict(zip(order, combo))))
 
-    return GameSpec(
-        num_players=spec.num_players,
-        states=tuple(states),
-        initial_state=spec.initial_state,
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-        chance_policy=None,
-    )
+    return tables.spec(spec.initial_state)
 
 
 def strip_tick_observations(key: InfoKey) -> InfoKey:

@@ -9,14 +9,14 @@ both directions and back into the tabular game model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (DepthExceeded, ImperfectRecall, InvalidArgument, NotOneTimeable,
                      NotSerial, OutcomeDependentReward, ThickPublicSets)
-from .model import (EMPTY_PUBLIC, NOOP, FactoredObservation, GameSpec, InfoKey,
-                    JointKey, is_serial, merge_chance)
+from .model import (EMPTY_PUBLIC, NOOP, FactoredObservation, GameSpec, InfoKey, SpecTables,
+                    is_serial, merge_chance)
 
 CHANCE_ACTOR = 0
 TERMINAL_ACTOR = -1
@@ -182,8 +182,7 @@ def unroll(spec: GameSpec, depth_bound: int = 64) -> ExtensiveFormRep:
     that reads them per node. All members of one cell share one key tuple,
     built from interned elements.
     """
-    if spec.has_chance_actor:
-        spec = merge_chance(spec)
+    spec = merge_chance(spec)
     if not is_serial(spec):
         raise NotSerial("unroll requires a serial game; call serialize() first")
 
@@ -532,8 +531,7 @@ def forget_factorization(spec: GameSpec) -> GameSpec:
     observation is constantly the empty symbol. Transition, reward, and
     observation keys are unchanged.
     """
-    if spec.has_chance_actor:
-        spec = merge_chance(spec)
+    spec = merge_chance(spec)
     all_players = frozenset(spec.players)
     player_fn: Dict[str, frozenset] = {}
     legal: Dict[Tuple[str, int], Tuple[str, ...]] = dict(spec.legal_actions)
@@ -551,17 +549,7 @@ def forget_factorization(spec: GameSpec) -> GameSpec:
             public=EMPTY_PUBLIC)
         for key, obs in spec.observations.items()
     }
-    return GameSpec(
-        num_players=spec.num_players,
-        states=spec.states,
-        initial_state=spec.initial_state,
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=spec.transitions,
-        rewards=spec.rewards,
-        observations=observations,
-        chance_policy=None,
-    )
+    return replace(spec, player_fn=player_fn, legal_actions=legal, observations=observations)
 
 
 def original_key(key: InfoKey) -> InfoKey:
@@ -657,71 +645,43 @@ def _tabulate_tree(rep: ExtensiveFormRep, node_ids: Iterable[int],
     """
     players = rep.players
     noop_joint = tuple(NOOP for _ in players)
-    states: List[str] = []
-    player_fn: Dict[str, frozenset] = {}
-    legal: Dict[Tuple[str, int], Tuple[str, ...]] = {}
-    transitions: Dict[Tuple[str, JointKey], Dict[str, float]] = {}
-    rewards: Dict[Tuple[str, JointKey], Tuple[float, ...]] = {}
-    observations: Dict[Tuple[str, JointKey, str], FactoredObservation] = {}
-
+    tables = SpecTables(rep.num_players)
     for state, reward, successors in prefix:
-        states.append(state)
-        player_fn[state] = frozenset()
-        transitions[(state, noop_joint)] = {succ: prob for succ, (prob, _) in successors.items()}
-        rewards[(state, noop_joint)] = reward
-        for succ, (_, obs) in successors.items():
-            observations[(state, noop_joint, succ)] = obs
+        tables.state(state, {})
+        tables.move(state, noop_joint, reward, successors)
+
+    def observed(child_id: int) -> FactoredObservation:
+        """The edge into ``child_id`` observes the child's information and public cells."""
+        return FactoredObservation(
+            private=tuple(info_symbol[p][rep.infostate_keys[p][child_id]] for p in players),
+            public=pub_symbol[rep.public_keys[child_id]])
 
     for nid in node_ids:
         node = rep.nodes[nid]
         w = state_name(nid)
-        states.append(w)
         if node.actor == TERMINAL_ACTOR:
-            player_fn[w] = frozenset()
-            continue
-        edge_obs = {
-            child_id: FactoredObservation(
-                private=tuple(info_symbol[p][rep.infostate_keys[p][child_id]] for p in players),
-                public=pub_symbol[rep.public_keys[child_id]])
-            for child_id in node.children.values()
-        }
-        if node.actor == CHANCE_ACTOR:
-            player_fn[w] = frozenset()
-            dist = {state_name(node.children[label]): node.chance_dist[label]
-                    for label in node.actions}
-            transitions[(w, noop_joint)] = dist
-            base = None
-            for label in node.actions:
-                child = rep.nodes[node.children[label]]
-                reward = rep.edge_reward(child)
-                if base is None:
-                    base = reward
-                elif any(abs(a - b) > 1e-12 for a, b in zip(base, reward)):
-                    raise OutcomeDependentReward(
-                        f"chance node {node.id} has outcome-dependent edge rewards")
-                observations[(w, noop_joint, state_name(child.id))] = edge_obs[child.id]
-            rewards[(w, noop_joint)] = base if base is not None else tuple(0.0 for _ in players)
+            tables.state(w, {})
+        elif node.actor == CHANCE_ACTOR:
+            tables.state(w, {})
+            children = [node.children[label] for label in node.actions]
+            rewards = [rep.edge_reward(rep.nodes[child_id]) for child_id in children]
+            base = rewards[0] if rewards else tuple(0.0 for _ in players)
+            if any(abs(a - b) > 1e-12 for reward in rewards for a, b in zip(base, reward)):
+                raise OutcomeDependentReward(
+                    f"chance node {node.id} has outcome-dependent edge rewards")
+            tables.move(w, noop_joint, base, {
+                state_name(child_id): (node.chance_dist[label], observed(child_id))
+                for label, child_id in zip(node.actions, children)})
         else:
             player = node.actor
-            player_fn[w] = frozenset({player})
-            legal[(w, player)] = node.actions
+            tables.state(w, {player: node.actions})
             for label in node.actions:
-                child = rep.nodes[node.children[label]]
+                child_id = node.children[label]
                 joint = tuple(label if p == player else NOOP for p in players)
-                transitions[(w, joint)] = {state_name(child.id): 1.0}
-                rewards[(w, joint)] = rep.edge_reward(child)
-                observations[(w, joint, state_name(child.id))] = edge_obs[child.id]
+                tables.move(w, joint, rep.edge_reward(rep.nodes[child_id]),
+                            {state_name(child_id): (1.0, observed(child_id))})
 
-    return GameSpec(
-        num_players=rep.num_players,
-        states=tuple(states),
-        initial_state=states[0],
-        player_fn=player_fn,
-        legal_actions=legal,
-        transitions=transitions,
-        rewards=rewards,
-        observations=observations,
-    )
+    return tables.spec()
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,25 @@ def test_unwritable_output_exits_2_before_any_work(capsys, monkeypatch, tmp_path
     assert err.splitlines() == [f"cannot write {path}: {reason}"]
 
 
+@pytest.mark.parametrize("method, target", [
+    ("cfr", "dump.lp"),
+    # The method is refused before the path, which it would never write.
+    ("cfrd", "absent/dump.lp"),
+])
+def test_lp_dump_with_a_method_other_than_lp_exits_2_before_any_work(capsys, monkeypatch,
+                                                                     tmp_path, method, target):
+    def no_work(*_args):
+        raise AssertionError("the command started working")
+
+    monkeypatch.setattr(cli, "_load_game", no_work)
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "solve", method, "--game", "kuhn", "--iters", "5",
+                             "--lp-dump", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"--lp-dump applies to solve lp and export, not solve {method}"]
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("solve", "cfr", "--iters", "3", "--out"),
     ("solve", "cfr", "--iters", "3", "--stride", "1", "--trace"),

@@ -1,5 +1,7 @@
 """Fixture metadata re-derived at test time and generator determinism."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +91,29 @@ def test_random_fosg_deterministic_and_valid(seed):
 
 def test_random_fosg_distinct_across_seeds():
     assert fosg.random_fosg(0) != fosg.random_fosg(1)
+
+
+# The game universes of the four benchmark workloads (perfbench/workloads.py), as
+# (generator, depth, seed count): the sha256 of the seed-ordered reprs of the games.
+# A generator that drifts changes every number measured on them.
+BENCHMARK_UNIVERSES = {
+    ("random_fosg", 6, 12): "e819f101d729ad07c65be44cfa7a24552a0342511ebd16d913ceda789a446bc3",
+    ("random_fosg", 7, 12): "c1c11b813293b2e40dbfcf75136924278780e4fd5d03d70f4aa0538fe205a9f8",
+    ("random_fosg", 8, 16): "573d96159f800b5189f1a05f7cc3bb9e253ad2677c8aeab8b5a10a251c01deab",
+    ("random_fosg", 9, 6): "d3a7ff4dccb16d1f9c7b1e4cb56abd599cd8230042e8615b9173442e9e3f1265",
+    ("random_fosg", 10, 6): "29e220f4198258c05fe9315849df2a968250686e723a48271904ec1d15fbc890",
+    ("random_timeable_efg", 10, 6):
+        "d0c4092f422dd90e5e7cd832046f124426747d8fdbeb6584b9d343eae807dff2",
+}
+
+
+@pytest.mark.parametrize("generator, depth, seeds", sorted(BENCHMARK_UNIVERSES))
+def test_benchmark_universes_are_pinned(generator, depth, seeds):
+    build = getattr(fosg.games, generator)
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        digest.update(repr(build(seed, depth=depth)).encode())
+    assert digest.hexdigest() == BENCHMARK_UNIVERSES[(generator, depth, seeds)]
 
 
 @settings(max_examples=15, deadline=None)

@@ -11,6 +11,7 @@ import fosg
 from fosg.errors import IllegalAction, MissingChancePolicy, StepAtTerminal
 from fosg.model import (NOOP, expected_utilities, serial_policy, uniform_spec_policy,
                         sample_chance_action)
+from fosg.unroll import forget_factorization
 
 import oracles
 
@@ -249,6 +250,14 @@ def test_merge_chance_unrolled_trees_agree(kuhn_spec, kuhn_rep):
         assert a.cumulative_reward == pytest.approx(b.cumulative_reward, abs=1e-12)
         if a.chance_dist is not None:
             assert a.chance_dist == pytest.approx(b.chance_dist, abs=1e-12)
+
+
+def test_the_chance_variant_reads_as_kuhn_through_every_rewrite(kuhn_spec):
+    variant = fosg.kuhn_poker_chance_variant()
+    assert fosg.unroll(variant) == fosg.unroll(kuhn_spec)
+    assert forget_factorization(variant) == forget_factorization(kuhn_spec)
+    assert fosg.serialize(variant) == kuhn_spec
+    assert fosg.is_serial(variant)
 
 
 def test_merge_chance_missing_policy():

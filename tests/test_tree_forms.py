@@ -119,7 +119,7 @@ def test_every_analysis_takes_either_tree_form_or_fails_typed(name):
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (_call, outcomes) in ANALYSES.items()
-                                         if outcomes == BOTH))
+                                         if outcomes == BOTH or name in ("build_subgame", "cfr_d")))
 def test_tree_analyses_refuse_a_game_spec_typed(name):
     call, _outcomes = ANALYSES[name]
     with pytest.raises(InvalidArgument, match="got GameSpec"):
