@@ -91,6 +91,10 @@ class SolverTree:
                                         actions=nodes[members[0]].actions, members=members))
                 self.iset_lookup[(p, key)] = idx
                 for m in members:
+                    if self.actor[m] != p or self.iset_index[m] >= 0:
+                        raise InvalidArgument(f"node {m} in a cell of player {p} " + (
+                            f"has actor {self.actor[m]}" if self.actor[m] != p
+                            else "is listed twice"))
                     self.iset_index[m] = idx
 
         self.terminals: List[Tuple[int, float, Tuple[float, ...]]] = []

@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Subcommands: ``inspect`` (validate and report counts), ``solve`` (cfr, cfrd,
-or lp), ``timing`` (check or pad a classical tree), ``export`` (DOT views and
-LP dumps). Exit codes: 0 success, 2 bad arguments, a validation or load
-failure, or an output file that cannot be written (checked before any work
-starts, and again when writing), 3 solver precondition failure (also for
-``export --lp-dump``: a game that is not two-player), 4 timing precondition
-failure, 5 the solver failed (an infeasible or unbounded LP, a used-up pivot
-budget, or any other fosg error raised while solving).
+Subcommands: ``inspect`` (validate and report counts), ``solve cfr|cfrd|lp``
+(one parser per method, each with only the options it reads), ``timing``
+(check or pad a classical tree), ``export`` (DOT views and LP dumps). Exit
+codes: 0 success, 2 bad arguments (an option the command does not read
+among them), a validation or load failure, or an output file that cannot be
+written (checked before any work starts, and again when writing), 3 solver
+precondition failure (also for ``export --lp-dump``: a game that is not
+two-player), 4 timing precondition failure, 5 the solver failed (an
+infeasible or unbounded LP, a used-up pivot budget, or any other fosg error
+raised while solving).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import logging
 import os
 import sys
 import time
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 from . import games
 from .cfr import cfr_run, exploitability, game_value
@@ -30,51 +32,80 @@ from .io import efg_to_json, sniff_format, spec_from_json, efg_from_json, trace_
 from .model import GameSpec, is_serial, serialize, validate
 from .sequence_form import build_sequence_lp, lp_dump, lp_profile, solve_zero_sum_lp
 from .timing import Timing, find_exact_timing, pad_to_1_timeable, witness_nodes
-from .unroll import (ClassicalEFG, check_perfect_recall, forget_nonacting,
+from .unroll import (ClassicalEFG, ExtensiveFormRep, check_perfect_recall, forget_nonacting,
                      has_thick_public_sets, unroll)
 
-SCHEMA = 1
+SCHEMA = 2
 
 ALIASES = {"pennies": "matching_pennies"}
 
 
-def _load_game(source: str):
-    """Resolve a builtin name or a JSON file into ("spec", GameSpec) or
-    ("efg", ClassicalEFG, Optional[Timing])."""
+def _load_game(source: str) -> Union[GameSpec, Tuple[ClassicalEFG, Optional[Timing]]]:
+    """Resolve a builtin name or a JSON file into a GameSpec, or into a
+    classical tree paired with the timing it comes with (None if none)."""
     fixtures = games.catalog()
     source_name = ALIASES.get(source, source)
     if source_name in fixtures:
         fixture = fixtures[source_name]
-        if fixture.kind == "spec":
-            return ("spec", fixture.build())
-        return ("efg", fixture.build(), None)
+        game = fixture.build()
+        return game if fixture.kind == "spec" else (game, None)
     if source.startswith("padding_chain:"):
-        n = int(source.split(":", 1)[1])
-        efg, timing = games.padding_chain(n)
-        return ("efg", efg, timing)
+        return games.padding_chain(int(source.split(":", 1)[1]))
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        kind = sniff_format(doc)
-        if kind == "spec":
-            return ("spec", spec_from_json(doc))
-        return ("efg", efg_from_json(doc), None)
+        if sniff_format(doc) == "spec":
+            return spec_from_json(doc)
+        return efg_from_json(doc), None
     raise FileNotFoundError(f"unknown builtin or missing file: {source}")
 
 
-def _require_spec(loaded) -> GameSpec:
-    if loaded[0] != "spec":
-        raise InvalidArgument("this command requires a game-spec source, not a classical tree")
-    return loaded[1]
-
-
-def _validated_rep(spec: GameSpec, depth_bound: int):
+def _validated_rep(spec: GameSpec, depth_bound: int) -> ExtensiveFormRep:
     violations = validate(spec, depth_bound)
     if violations:
         report = [f"{v.code}: {v.message}" + (f" (state {v.state})" if v.state else "")
                   for v in violations]
         raise FosgError("validation failed:\n" + "\n".join(report))
     return unroll(serialize(spec), depth_bound)
+
+
+# Each loader returns the arguments its command takes after ``args``.
+def _load_rep(args) -> Tuple[GameSpec, ExtensiveFormRep]:
+    """The game spec and its validated, unrolled tree."""
+    spec = _load_game(args.game)
+    if not isinstance(spec, GameSpec):
+        raise InvalidArgument("this command requires a game-spec source, not a classical tree")
+    return spec, _validated_rep(spec, args.depth_bound)
+
+
+def _load_rep_and_trunk(args) -> Tuple[GameSpec, ExtensiveFormRep, Trunk]:
+    spec, rep = _load_rep(args)
+    if not args.trunk_file:
+        return spec, rep, Trunk.from_depth(rep, args.trunk_depth)
+    with open(args.trunk_file, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    if not (isinstance(doc, list) and all(
+            isinstance(key, list) and all(isinstance(o, str) for o in key) for key in doc)):
+        raise InvalidArgument(
+            "trunk file must hold a JSON list of public-state keys, each a list of strings")
+    trunk = Trunk(keys=frozenset(tuple(key) for key in doc))
+    trunk.validate(rep)
+    return spec, rep, trunk
+
+
+def _load_view(args) -> Tuple[ExtensiveFormRep, str]:
+    """The validated, unrolled tree and its ``--view`` in DOT."""
+    _spec, rep = _load_rep(args)
+    return rep, export_view(rep, args.view)
+
+
+def _load_classical(args) -> Tuple[ClassicalEFG, Optional[Timing]]:
+    """A classical tree and its supplied timing; a spec is validated, unrolled
+    and restricted to each player's own decision nodes."""
+    loaded = _load_game(args.game)
+    if isinstance(loaded, GameSpec):
+        return forget_nonacting(_validated_rep(loaded, args.depth_bound)), None
+    return loaded
 
 
 def _policy_json(profile) -> dict:
@@ -122,13 +153,7 @@ def _emit(doc: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_inspect(args) -> int:
-    try:
-        spec = _require_spec(_load_game(args.game))
-        rep = _validated_rep(spec, args.depth_bound)
-    except (FosgError, ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def cmd_inspect(args, spec: GameSpec, rep: ExtensiveFormRep) -> int:
     recall_ok, _ = check_perfect_recall(rep)
     report = {
         "schema": SCHEMA,
@@ -146,35 +171,14 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _load_trunk(args, rep) -> Trunk:
-    if not args.trunk_file:
-        return Trunk.from_depth(rep, args.trunk_depth)
-    with open(args.trunk_file, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not (isinstance(doc, list) and all(
-            isinstance(key, list) and all(isinstance(o, str) for o in key) for key in doc)):
-        raise InvalidArgument(
-            "trunk file must hold a JSON list of public-state keys, each a list of strings")
-    trunk = Trunk(keys=frozenset(tuple(key) for key in doc))
-    trunk.validate(rep)
-    return trunk
-
-
 def _solver_failure(exc: FosgError) -> int:
     """Report a solve-stage error on one stderr line: exit 3 for NotZeroSum, else 5."""
     print(exc, file=sys.stderr)
     return 3 if isinstance(exc, NotZeroSum) else 5
 
 
-def cmd_solve(args) -> int:
-    try:
-        spec = _require_spec(_load_game(args.game))
-        rep = _validated_rep(spec, args.depth_bound)
-        trunk = _load_trunk(args, rep) if args.method == "cfrd" else None
-    except (FosgError, ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
+def cmd_solve(args, _spec: GameSpec, rep: ExtensiveFormRep,
+              trunk: Optional[Trunk] = None) -> int:
     started = time.perf_counter()
     try:
         if args.method == "cfr":
@@ -190,7 +194,7 @@ def cmd_solve(args) -> int:
             lp = build_sequence_lp(rep)
             solution = solve_zero_sum_lp(lp)
             profile = lp_profile(rep, solution, lp)
-            trace = []
+            trace = None
             if args.lp_dump:
                 _write_text(args.lp_dump, lp_dump(lp))
         gap = exploitability(rep, profile)
@@ -198,16 +202,15 @@ def cmd_solve(args) -> int:
     except FosgError as exc:
         return _solver_failure(exc)
 
-    if args.trace:
+    if trace is not None and args.trace:
         _write_text(args.trace, trace_to_csv(trace))
     result_doc = {
         "schema": SCHEMA,
         "method": args.method,
         "game": args.game,
-        "iterations": args.iters if args.method != "lp" else None,
+        "iterations": getattr(args, "iters", None),
         "game_value": value,
         "exploitability": gap,
-        "seed": args.seed,
         "wall_s": round(time.perf_counter() - started, 3),
         "policy": _policy_json(profile),
     }
@@ -215,20 +218,7 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _as_efg(loaded, depth_bound: int) -> Tuple[ClassicalEFG, Optional[Timing]]:
-    if loaded[0] == "efg":
-        return loaded[1], loaded[2]
-    spec = loaded[1]
-    rep = _validated_rep(spec, depth_bound)
-    return forget_nonacting(rep), None
-
-
-def cmd_timing(args) -> int:
-    try:
-        efg, supplied = _as_efg(_load_game(args.game), args.depth_bound)
-    except (FosgError, ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def cmd_timing(args, efg: ClassicalEFG, supplied: Optional[Timing]) -> int:
     timing, witness = find_exact_timing(efg)
     if args.action == "check":
         if timing is not None:
@@ -260,14 +250,7 @@ def cmd_timing(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    try:
-        spec = _require_spec(_load_game(args.game))
-        rep = _validated_rep(spec, args.depth_bound)
-        text = export_view(rep, args.view)
-    except (FosgError, ValueError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+def cmd_export(args, rep: ExtensiveFormRep, text: str) -> int:
     try:
         dump = lp_dump(build_sequence_lp(rep)) if args.lp_dump else None
     except FosgError as exc:
@@ -299,47 +282,51 @@ _non_negative_int = _int_at_least(0, "non-negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command and per solve method, each declaring only the
+    options it reads, so argparse refuses any other with exit 2. Each names
+    its loader as ``load`` and its command as ``func``."""
     parser = argparse.ArgumentParser(prog="fosg", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--depth-bound", type=int, default=64)
-    common.add_argument("--seed", type=int, default=0)
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("--game", required=True)
+    game.add_argument("--out")
+    game.add_argument("--depth-bound", type=int, default=64)
+    iterative = argparse.ArgumentParser(add_help=False)
+    iterative.add_argument("--iters", type=_positive_int, default=1000)
+    iterative.add_argument("--stride", type=_non_negative_int, default=0)
+    iterative.add_argument("--trace")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inspect = sub.add_parser("inspect", parents=[common],
+    p_inspect = sub.add_parser("inspect", parents=[game],
                                help="validate a game and report its shape")
-    p_inspect.add_argument("--game", required=True)
-    p_inspect.add_argument("--out")
-    p_inspect.set_defaults(func=cmd_inspect)
+    p_inspect.set_defaults(load=_load_rep, func=cmd_inspect)
 
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="run a solver and write result artifacts")
-    p_solve.add_argument("method", choices=("cfr", "cfrd", "lp"))
-    p_solve.add_argument("--game", required=True)
-    p_solve.add_argument("--iters", type=_positive_int, default=1000)
-    p_solve.add_argument("--mode", choices=("simultaneous", "alternating"),
-                         default="simultaneous")
-    p_solve.add_argument("--trunk-depth", type=_positive_int, default=2)
-    p_solve.add_argument("--trunk-file")
-    p_solve.add_argument("--subgame-iters", type=_positive_int, default=1000)
-    p_solve.add_argument("--stride", type=_non_negative_int, default=0)
-    p_solve.add_argument("--trace")
-    p_solve.add_argument("--out")
-    p_solve.add_argument("--lp-dump")
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve = sub.add_parser("solve", help="run a solver and write result artifacts")
+    methods = p_solve.add_subparsers(dest="method", required=True)
+    p_cfr = methods.add_parser("cfr", parents=[game, iterative],
+                               help="counterfactual regret minimization on the whole tree")
+    p_cfr.add_argument("--mode", choices=("simultaneous", "alternating"),
+                       default="simultaneous")
+    p_cfr.set_defaults(load=_load_rep, func=cmd_solve)
+    p_cfrd = methods.add_parser("cfrd", parents=[game, iterative],
+                                help="CFR-D: CFR on a trunk, its leaf subgames re-solved")
+    p_cfrd.add_argument("--trunk-depth", type=_positive_int, default=2)
+    p_cfrd.add_argument("--trunk-file")
+    p_cfrd.add_argument("--subgame-iters", type=_positive_int, default=1000)
+    p_cfrd.set_defaults(load=_load_rep_and_trunk, func=cmd_solve)
+    p_lp = methods.add_parser("lp", parents=[game], help="the sequence-form linear program")
+    p_lp.add_argument("--lp-dump")
+    p_lp.set_defaults(load=_load_rep, func=cmd_solve)
 
-    p_timing = sub.add_parser("timing", parents=[common], help="check timeability or pad to unit steps")
+    p_timing = sub.add_parser("timing", parents=[game],
+                              help="check timeability or pad to unit steps")
     p_timing.add_argument("action", choices=("check", "pad"))
-    p_timing.add_argument("--game", required=True)
-    p_timing.add_argument("--out")
-    p_timing.set_defaults(func=cmd_timing)
+    p_timing.set_defaults(load=_load_classical, func=cmd_timing)
 
-    p_export = sub.add_parser("export", parents=[common], help="write DOT views or an LP dump")
+    p_export = sub.add_parser("export", parents=[game], help="write DOT views or an LP dump")
     p_export.add_argument("--view", required=True,
                           help="history | infoset:<player> | public")
-    p_export.add_argument("--game", required=True)
-    p_export.add_argument("--out")
     p_export.add_argument("--lp-dump")
-    p_export.set_defaults(func=cmd_export)
+    p_export.set_defaults(load=_load_view, func=cmd_export)
     return parser
 
 
@@ -350,10 +337,6 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("FOSG_LOG", "WARNING").upper())
     args = _parser().parse_args(argv)
-    if args.command == "solve" and args.method != "lp" and args.lp_dump:
-        print(f"--lp-dump applies to solve lp and export, not solve {args.method}",
-              file=sys.stderr)
-        return 2
     for option in OUTPUT_OPTIONS:
         path = getattr(args, option, None)
         reason = _unwritable_reason(path) if path else None
@@ -361,7 +344,12 @@ def main(argv=None) -> int:
             print(f"cannot write {path}: {reason}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        loaded = args.load(args)
+    except (FosgError, ValueError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    try:
+        return args.func(args, *loaded)
     except _Unwritable as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -130,8 +130,10 @@ def efg_from_json(doc: dict) -> ClassicalEFG:
     One pass over the list: an entry whose parent is not built yet waits under
     the parent's name and is built once the parent is, so a parents-first
     list keeps its order as the node ids. Raises InvalidArgument for a repeated
-    node name, a second child under one action, a second root, and entries
-    that never reach a root (orphans or cycles).
+    node name, a second child under one action, a second root, entries that
+    never reach a root (orphans or cycles), a cell member that is not a
+    decision node of the cell's player or sits in a second cell, and a
+    decision node in no cell of its actor.
     """
     by_name: Dict[str, int] = {}
     nodes: List[EfgNode] = []
@@ -169,7 +171,11 @@ def efg_from_json(doc: dict) -> ClassicalEFG:
     for player, cells in infosets.items():
         for members in cells.values():
             for m in members:
-                covered[m] = covered[m] or nodes[m].actor == player
+                node = nodes[m]
+                if node.actor != player or covered[m]:
+                    raise InvalidArgument(f"node {node.name!r} in a cell of player {player} " + (
+                        f"has actor {node.actor}" if node.actor != player else "is listed twice"))
+                covered[m] = True
     for node in nodes:
         if node.actor not in (CHANCE_ACTOR, TERMINAL_ACTOR) and not covered[node.id]:
             raise InvalidArgument(f"decision node {node.name!r} of player {node.actor} "

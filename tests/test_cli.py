@@ -8,7 +8,7 @@ import pytest
 import fosg
 from fosg import cli, simplex
 from fosg.cfr import SolverTree
-from fosg.cli import _require_spec, main
+from fosg.cli import main
 from fosg.dot import export_view
 from fosg.errors import InvalidArgument
 from fosg.io import efg_to_json, spec_to_json
@@ -75,7 +75,8 @@ def test_solve_lp_pennies(capsys, tmp_path):
                          "--out", str(out_path))
     assert code == 0
     doc = json.loads(out_path.read_text())
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert "seed" not in doc
     assert doc["method"] == "lp"
     assert abs(doc["game_value"]) <= 1e-9
     assert doc["exploitability"] <= 1e-9
@@ -188,6 +189,18 @@ def test_timing_rejects_a_decision_node_outside_every_infoset(capsys, tmp_path, 
     assert f"decision node {orphans[0]!r} of player 1" in err
 
 
+def test_timing_check_rejects_another_actors_node_in_a_cell_with_exit_2(capsys, tmp_path):
+    # Player 2's cell lists player 1's node "g"; loaded, the tree would be
+    # re-indexed and solved as a different game.
+    doc = efg_to_json(fosg.nontimeable_fixture())
+    doc["infosets"]["2"][0].append("g")
+    path = tmp_path / "foreign.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "timing", "check", "--game", str(path))
+    assert (code, out) == (2, "")
+    assert err == "node 'g' in a cell of player 2 has actor 1\n"
+
+
 @pytest.mark.parametrize("field, name, value, message", [
     ("action", "h-d", "c", "node 'h-d' is a second child of 'h' under action 'c'"),
     ("id", "g'-b", "g'-a", "node name \"g'-a\" occurs twice"),
@@ -253,12 +266,6 @@ def test_export_lp_dump_of_a_three_player_game_exits_3_and_writes_nothing(capsys
     assert not dot.exists() and not dump.exists()
 
 
-def test_require_spec_rejects_a_classical_tree_with_invalid_argument():
-    loaded = ("efg", fosg.nontimeable_fixture(), None)
-    with pytest.raises(InvalidArgument, match="game-spec source"):
-        _require_spec(loaded)
-
-
 def test_inspect_classical_tree_exits_2(capsys):
     code, out, err = run_cli(capsys, "inspect", "--game", "nontimeable")
     assert code == 2
@@ -299,8 +306,9 @@ def test_directory_as_trunk_file_exits_2(capsys, tmp_path):
 def test_solve_on_a_tree_too_deep_to_walk_exits_5(capsys, tmp_path, method):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(spec_to_json(chain_spec(1200))))
+    extra = ("--subgame-iters", "2") if method == "cfrd" else ()
     code, out, err = run_cli(capsys, "solve", method, "--game", str(path),
-                             "--depth-bound", "5000", "--iters", "2", "--subgame-iters", "2")
+                             "--depth-bound", "5000", "--iters", "2", *extra)
     assert (code, out) == (5, "")
     assert len(err.splitlines()) == 1 and "recursion limit" in err
 
@@ -311,7 +319,7 @@ def test_solver_determinism(capsys, tmp_path):
         out_path = tmp_path / f"{tag}.json"
         trace_path = tmp_path / f"{tag}.csv"
         code, _, _ = run_cli(capsys, "solve", "cfr", "--game", "kuhn",
-                             "--iters", "300", "--stride", "150", "--seed", "0",
+                             "--iters", "300", "--stride", "150",
                              "--trace", str(trace_path), "--out", str(out_path))
         assert code == 0
         paths.append((out_path, trace_path))
@@ -404,7 +412,7 @@ def test_solve_rejects_a_negative_stride_with_exit_2(capsys, method):
 def test_main_reuses_one_parser_across_subcommands(capsys, monkeypatch):
     # main builds its parser once per process. Two different subcommands run
     # back to back through it give what a freshly built parser gives each.
-    argvs = [("solve", "cfr", "--game", "kuhn", "--iters", "3", "--seed", "4"),
+    argvs = [("solve", "cfr", "--game", "kuhn", "--iters", "3", "--mode", "alternating"),
              ("timing", "check", "--game", "kuhn"),
              ("inspect", "--game", "kuhn", "--depth-bound", "9")]
     assert cli._parser() is cli._parser()
@@ -446,23 +454,60 @@ def test_unwritable_output_exits_2_before_any_work(capsys, monkeypatch, tmp_path
     assert err.splitlines() == [f"cannot write {path}: {reason}"]
 
 
-@pytest.mark.parametrize("method, target", [
-    ("cfr", "dump.lp"),
-    # The method is refused before the path, which it would never write.
-    ("cfrd", "absent/dump.lp"),
-])
-def test_lp_dump_with_a_method_other_than_lp_exits_2_before_any_work(capsys, monkeypatch,
-                                                                     tmp_path, method, target):
+def _refused_before_any_work(capsys, monkeypatch, argv):
+    """``argv`` exits 2 in argparse, naming ``argv[-2:]`` as unrecognized; no game loads."""
     def no_work(*_args):
         raise AssertionError("the command started working")
 
     monkeypatch.setattr(cli, "_load_game", no_work)
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "error: unrecognized arguments: " + " ".join(argv[-2:]))
+
+
+@pytest.mark.parametrize("method, target", [
+    ("cfr", "dump.lp"),
+    # The option is refused before the path, which it would never write.
+    ("cfrd", "absent/dump.lp"),
+])
+def test_lp_dump_with_a_method_other_than_lp_exits_2_before_any_work(capsys, monkeypatch,
+                                                                     tmp_path, method, target):
     path = tmp_path / target
-    code, out, err = run_cli(capsys, "solve", method, "--game", "kuhn", "--iters", "5",
-                             "--lp-dump", str(path))
-    assert (code, out) == (2, "")
-    assert err.splitlines() == [f"--lp-dump applies to solve lp and export, not solve {method}"]
+    _refused_before_any_work(capsys, monkeypatch, ("solve", method, "--game", "kuhn",
+                                                   "--iters", "5", "--lp-dump", str(path)))
     assert not path.exists()
+
+
+# Every (command, option) pair where the command would not read the option.
+FOREIGN_OPTIONS = [
+    ("solve", "cfr", "--trunk-depth", "2"),
+    ("solve", "cfr", "--trunk-file", "trunk.json"),
+    ("solve", "cfr", "--subgame-iters", "5"),
+    ("solve", "cfr", "--seed", "0"),
+    ("solve", "cfrd", "--mode", "alternating"),
+    ("solve", "cfrd", "--seed", "0"),
+    ("solve", "lp", "--iters", "5"),
+    ("solve", "lp", "--mode", "alternating"),
+    ("solve", "lp", "--trunk-depth", "2"),
+    ("solve", "lp", "--trunk-file", "trunk.json"),
+    ("solve", "lp", "--subgame-iters", "5"),
+    ("solve", "lp", "--stride", "1"),
+    ("solve", "lp", "--seed", "0"),
+    ("solve", "lp", "--trace", "trace.csv"),
+    ("inspect", "--seed", "0"),
+    ("timing", "check", "--seed", "0"),
+    ("export", "--view", "history", "--seed", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", FOREIGN_OPTIONS,
+                         ids=lambda argv: "_".join(arg.lstrip("-") for arg in argv[:-1]))
+def test_an_option_the_command_does_not_read_exits_2_before_any_work(capsys, monkeypatch, argv):
+    _refused_before_any_work(capsys, monkeypatch, (*argv[:-2], "--game", "kuhn", *argv[-2:]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -332,3 +332,17 @@ def test_efg_loader_rejects_orphans_and_cycles(name, parent):
     _entry(doc, name)["parent"] = parent
     with pytest.raises(InvalidArgument, match="orphans or cycles"):
         efg_from_json(doc)
+
+
+@pytest.mark.parametrize("player, cell, message", [
+    ("2", ["g"], "node 'g' in a cell of player 2 has actor 1"),
+    ("2", ["root"], "node 'root' in a cell of player 2 has actor 0"),
+    ("1", ["g-b"], "node 'g-b' in a cell of player 1 has actor -1"),
+    ("1", ["g"], "node 'g' in a cell of player 1 is listed twice"),
+], ids=["other-player", "chance", "terminal", "second-cell"])
+def test_efg_loader_rejects_a_cell_member_that_is_not_the_players_own_once(player, cell,
+                                                                           message):
+    doc = _nontimeable_doc()
+    doc["infosets"][player].append(cell)
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        efg_from_json(doc)
